@@ -6,8 +6,9 @@ non-special generator, left amenability of the generated semigroup is
 equivalent to the generators being pairwise power joined (some iterates
 coincide: A^k = B^l as k-fold compositions), and right amenability is
 equivalent to the pairwise power-twisted relations A^(2k) = A^k o B^l and
-B^(2l) = B^l o A^k.  Both conditions can be certified positively by
-exhibiting (k, l) and refuted exactly through two obstructions:
+B^(2l) = B^l o A^k, i.e. B^l = nu o A^k with A^k o nu = A^k for an affine
+nu, so no composition of degree n^(2k) is needed.  Both conditions are
+certified by exhibiting (k, l) and refuted exactly through two obstructions:
 
 - degrees: A^k = B^l forces n^k = m^l, so n and m must be powers of a
   common base (multiplicative dependence);
@@ -320,13 +321,27 @@ def common_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> O
     return Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
+def _twisted_companion(P: Poly, Q: Poly) -> bool:
+    """P o P == P o Q and Q o Q == Q o P, for nonconstant P, Q of one degree N.
+
+    Right factors of one degree agree up to a left affine map, so both hold
+    iff Q == nu o P with P o nu == P (conjugate by nu for the second); for
+    nu(w) = a w + b that forces a^N == 1, so a = +-1, and b = 0 when a = 1.
+    """
+    a = Q.lc / P.lc
+    nu = Poly((Q[0] - a * P[0], a))
+    return Q == compose(nu, P) and (nu == Z or compose(P, nu) == P)
+
+
 def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Outcome:
     """Search for the power-twisted relations
     A^(2k) == A^k o B^l and B^(2l) == B^l o A^k on the degree grid.
 
     The degree constraint is the same n^k == m^l as for a common iterate,
     so the only exact refutation is multiplicative independence of the
-    degrees; there is no leading-coefficient refutation here.
+    degrees; there is no leading-coefficient refutation here.  A depth-k
+    prefilter (B^l - B^l(x0) == +-(A^k - A^k(x0)) at the sample points, one
+    sign) comes before the exact check on the affine companion.
     """
     if A.degree < 2 or B.degree < 2:
         raise DegreeTooLow("twisted relation search needs degrees >= 2")
@@ -336,20 +351,11 @@ def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Out
     k0, l0 = grid
     for t in range(1, bounds.tmax + 1):
         k, l = k0 * t, l0 * t
-        ok = True
-        for x in _SAMPLE_POINTS:
-            ax = _apply_iter(A, k, x)
-            bx = _apply_iter(B, l, x)
-            if _apply_iter(A, k, ax) != _apply_iter(A, k, bx):
-                ok = False
-                break
-            if _apply_iter(B, l, bx) != _apply_iter(B, l, ax):
-                ok = False
-                break
-        if not ok:
+        ps = [_apply_iter(A, k, x) for x in _SAMPLE_POINTS]
+        qs = [_apply_iter(B, l, x) for x in _SAMPLE_POINTS]
+        if not any(all(q - qs[0] == s * (p - ps[0]) for p, q in zip(ps, qs)) for s in (1, -1)):
             continue
-        ak, bl = iterate(A, k), iterate(B, l)
-        if compose(ak, ak) == compose(ak, bl) and compose(bl, bl) == compose(bl, ak):
+        if _twisted_companion(iterate(A, k), iterate(B, l)):
             return Outcome(YES, TwistedPair(k=k, l=l))
     return Outcome(UNKNOWN, BoundExhausted(bounds))
 
@@ -507,8 +513,10 @@ def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
     if isinstance(cert, CommonIterate):
         return iterate(A, cert.k) == iterate(B, cert.l)
     if isinstance(cert, TwistedPair):
-        ak, bl = iterate(A, cert.k), iterate(B, cert.l)
-        return compose(ak, ak) == compose(ak, bl) and compose(bl, bl) == compose(bl, ak)
+        if A.degree < 1 or B.degree < 1:
+            raise DegreeTooLow("twisted relations need nonconstant maps")
+        same = A.degree**cert.k == B.degree**cert.l
+        return same and _twisted_companion(iterate(A, cert.k), iterate(B, cert.l))
     if isinstance(cert, CommutesWithIterate):
         bl = iterate(B, cert.l)
         return compose(A, bl) == compose(bl, A)
@@ -648,8 +656,8 @@ def folner_ratio(ctx: SemidirectContext, x: SemidirectElement, n: int) -> Fracti
     """Exact right-invariance defect |F_N minus F_N x| / |F_N|.
 
     Right translation shifts the s-levels up by s(x) and permutes each
-    level, so the defect is exactly s(x)/(N+1): the windows are a right
-    Folner sequence whenever that tends to zero, which it always does.
+    level, so the defect is exactly min(s(x), N+1)/(N+1): the windows are a
+    right Folner sequence, since for fixed x that tends to zero.
     """
     _check_element(ctx, x)
     window = folner_window(ctx, n)

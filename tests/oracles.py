@@ -147,6 +147,18 @@ def certified_not_special(p: Poly) -> bool:
     return True
 
 
+def twisted_relations_oracle(a: Poly, b: Poly, k: int, l: int) -> bool:
+    """A^(2k) == A^k o B^l and B^(2l) == B^l o A^k by their definition:
+    the four compositions of degree N^2 (N = deg A^k), built in sympy."""
+    A, B = sympy.Poly(to_expr(a), _z), sympy.Poly(to_expr(b), _z)
+    ak, bl = A, B
+    for _ in range(k - 1):
+        ak = A.compose(ak)
+    for _ in range(l - 1):
+        bl = B.compose(bl)
+    return ak.compose(ak) == ak.compose(bl) and bl.compose(bl) == bl.compose(ak)
+
+
 def indecomposable_oracle(p: Poly) -> bool:
     return len(sympy.decompose(to_expr(p), _z)) == 1
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -274,3 +275,15 @@ def test_cli_rationals_serialize_as_strings(capsys):
     doc = run_doc(capsys, "special", "z^2 - 2*z + 2")  # (z-1)^2 + 1
     assert doc["result"]["type"] == "PowerConjugate"
     assert doc["result"]["b"] == "1/1"
+
+
+GOLDEN = Path(__file__).parent / "golden" / "gallery_cli.json"
+
+
+def test_cli_gallery_stdout_is_pinned(capsys, monkeypatch):
+    """`twisted` and `classify` on the scripts/classify_gallery.py rows print
+    the pinned stdout byte for byte, however the searches are implemented."""
+    monkeypatch.delenv("RITT_LAB_BOUNDS", raising=False)
+    for case in json.loads(GOLDEN.read_text()):
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

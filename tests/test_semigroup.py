@@ -148,6 +148,7 @@ def test_certificates_reverify():
 def test_verify_rejects_tampered_certificates():
     assert not verify_certificate(CommonIterate(1, 1), -Z**3, Z**3)
     assert not verify_certificate(TwistedPair(2, 1), -P4, P4)
+    assert not verify_certificate(TwistedPair(10**6, 1), Z**2, Z**3)  # degrees checked first
     assert not verify_certificate(DegreeObstruction(2, 4), Z**2, Z**4)
     assert not verify_certificate(CommutesWithIterate(1), Z**2 + 1, Z**2 + 2)
     good = common_iterate(-P4, P4, B).certificate
@@ -367,6 +368,8 @@ def test_folner_ratio_frozen():
     assert folner_ratio(ctx, SemidirectElement(0, 1), 9) == Fraction(1, 10)
     assert folner_ratio(ctx, SemidirectElement(1, 0), 9) == Fraction(0)
     assert folner_ratio(ctx, SemidirectElement(1, 3), 9) == Fraction(3, 10)
+    # a translate past the window misses all of it: min(s, N+1)/(N+1) == 1
+    assert folner_ratio(abstract_semidirect_context(3, 1, 3), SemidirectElement(0, 6), 4) == 1
 
 
 def test_folner_ratio_power_translate_law():
