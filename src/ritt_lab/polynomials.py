@@ -8,8 +8,6 @@ polynomial.
 
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -244,14 +242,6 @@ class AffineMap:
         return f"AffineMap(a={self.a}, b={self.b})"
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
 def compose(p: Poly, q: Poly) -> Poly:
     """p o q, i.e. p(q(z))."""
     if not isinstance(q, Poly):
@@ -274,18 +264,10 @@ def evaluate(p: Poly, x) -> Fraction:
     return p(_frac(x))
 
 
-def derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
 def conjugate(p: Poly, lam: AffineMap) -> Poly:
     """lam o p o lam^{-1}."""
     inner = compose(p, lam.inverse().as_poly())
     return lam.a * inner + Poly((lam.b,))
-
-
-def affine_inverse(lam: AffineMap) -> AffineMap:
-    return lam.inverse()
 
 
 def gcd(f: Poly, g: Poly) -> Poly:
@@ -293,22 +275,6 @@ def gcd(f: Poly, g: Poly) -> Poly:
     while g:
         f, g = g, f % g
     return f.monic() if f else f
-
-
-def xgcd(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
-    """(d, s, t) with d = s*f + t*g, d monic (or zero)."""
-    r0, r1 = f, g
-    s0, s1 = ONE, ZERO
-    t0, t1 = ZERO, ONE
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0:
-        scale = 1 / r0.lc
-        return r0 * scale, s0 * scale, t0 * scale
-    return r0, s0, t0
 
 
 def int_nth_root(n: int, k: int):

@@ -311,13 +311,9 @@ def common_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> O
         return Outcome(NO, obstruction)
     parities = _sign_parities(A, B, k0, l0)
     for t in range(1, bounds.tmax + 1):
-        if t % 2 not in parities:
-            continue
-        k, l = k0 * t, l0 * t
-        if any(_apply_iter(A, k, x) != _apply_iter(B, l, x) for x in _SAMPLE_POINTS):
-            continue
-        if iterate(A, k) == iterate(B, l):
-            return Outcome(YES, CommonIterate(k=k, l=l))
+        cert = CommonIterate(k=k0 * t, l=l0 * t)
+        if t % 2 in parities and _relation_holds(cert, A, B):
+            return Outcome(YES, cert)
     return Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
@@ -331,6 +327,33 @@ def _twisted_companion(P: Poly, Q: Poly) -> bool:
     a = Q.lc / P.lc
     nu = Poly((Q[0] - a * P[0], a))
     return Q == compose(nu, P) and (nu == Z or compose(P, nu) == P)
+
+
+def _relation_holds(cert: CommonIterate | TwistedPair | CommutesWithIterate, A: Poly, B: Poly) -> bool:
+    """Whether A and B satisfy the relation the certificate asserts: the
+    degree test n^k == m^l first, then exact values at the sample points
+    (refuting at the first that separates the two sides), then the exact
+    check by composition or, for a twisted pair, the affine companion."""
+    if isinstance(cert, CommutesWithIterate):
+        l = cert.l
+        if any(_apply_iter(B, l, A(x)) != A(_apply_iter(B, l, x)) for x in _SAMPLE_POINTS):
+            return False
+        bl = iterate(B, l)
+        return compose(A, bl) == compose(bl, A)
+    k, l = cert.k, cert.l
+    if isinstance(cert, TwistedPair) and (A.degree < 1 or B.degree < 1):
+        raise DegreeTooLow("twisted relations need nonconstant maps")
+    if A.degree**k != B.degree**l:
+        return False
+    if isinstance(cert, CommonIterate):
+        if any(_apply_iter(A, k, x) != _apply_iter(B, l, x) for x in _SAMPLE_POINTS):
+            return False
+        return iterate(A, k) == iterate(B, l)
+    ps = [_apply_iter(A, k, x) for x in _SAMPLE_POINTS]
+    qs = [_apply_iter(B, l, x) for x in _SAMPLE_POINTS]
+    if not any(all(q - qs[0] == s * (p - ps[0]) for p, q in zip(ps, qs)) for s in (1, -1)):
+        return False
+    return _twisted_companion(iterate(A, k), iterate(B, l))
 
 
 def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Outcome:
@@ -350,13 +373,9 @@ def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Out
         return Outcome(NO, DegreeObstruction(A.degree, B.degree))
     k0, l0 = grid
     for t in range(1, bounds.tmax + 1):
-        k, l = k0 * t, l0 * t
-        ps = [_apply_iter(A, k, x) for x in _SAMPLE_POINTS]
-        qs = [_apply_iter(B, l, x) for x in _SAMPLE_POINTS]
-        if not any(all(q - qs[0] == s * (p - ps[0]) for p, q in zip(ps, qs)) for s in (1, -1)):
-            continue
-        if _twisted_companion(iterate(A, k), iterate(B, l)):
-            return Outcome(YES, TwistedPair(k=k, l=l))
+        cert = TwistedPair(k=k0 * t, l=l0 * t)
+        if _relation_holds(cert, A, B):
+            return Outcome(YES, cert)
     return Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
@@ -365,12 +384,7 @@ def commutes_with_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds(
     if A.degree < 2 or B.degree < 2:
         raise DegreeTooLow("commutation search needs degrees >= 2")
     for l in range(1, bounds.lmax + 1):
-        if any(
-            _apply_iter(B, l, A(x)) != A(_apply_iter(B, l, x)) for x in _SAMPLE_POINTS
-        ):
-            continue
-        bl = iterate(B, l)
-        if compose(A, bl) == compose(bl, A):
+        if _relation_holds(CommutesWithIterate(l), A, B):
             return l
     return None
 
@@ -435,7 +449,7 @@ def _classify_all_special(gens: list[Poly], bounds: SearchBounds) -> Verdict:
     findings: list[Finding] = []
     for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
         gi, gj = gens[i], gens[j]
-        if compose(gi, gj) != compose(gj, gi):
+        if not _relation_holds(CommutesWithIterate(l=1), gi, gj):
             commuting = False
             findings.append(Finding(f"g{i}|g{j}", Outcome(UNKNOWN, None)))
             continue
@@ -509,17 +523,14 @@ def classify(gens: list[Poly], bounds: SearchBounds = SearchBounds()) -> Verdict
 
 
 def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
-    """Re-check a certificate by direct exact computation."""
-    if isinstance(cert, CommonIterate):
-        return iterate(A, cert.k) == iterate(B, cert.l)
-    if isinstance(cert, TwistedPair):
-        if A.degree < 1 or B.degree < 1:
-            raise DegreeTooLow("twisted relations need nonconstant maps")
-        same = A.degree**cert.k == B.degree**cert.l
-        return same and _twisted_companion(iterate(A, cert.k), iterate(B, cert.l))
-    if isinstance(cert, CommutesWithIterate):
-        bl = iterate(B, cert.l)
-        return compose(A, bl) == compose(bl, A)
+    """Re-check a certificate by direct exact computation.
+
+    A relation certificate goes through the check its search uses: refuted
+    at the first failing sample point or decided by exact composition.
+    Obstructions are derived again from A and B and compared field by field.
+    """
+    if isinstance(cert, (CommonIterate, TwistedPair, CommutesWithIterate)):
+        return _relation_holds(cert, A, B)
     if isinstance(cert, DegreeObstruction):
         return (
             cert.n == A.degree
@@ -528,10 +539,7 @@ def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
         )
     if isinstance(cert, LeadingCoeffObstruction):
         grid = _iterate_grid(A, B)
-        if grid is None or grid != (cert.k0, cert.l0):
-            return False
-        redone = _lc_obstruction(A, B, cert.k0, cert.l0)
-        return redone is not None
+        return grid is not None and _lc_obstruction(A, B, *grid) == cert
     if isinstance(cert, BoundExhausted):
         return True
     raise BadParams(f"unknown certificate type: {type(cert).__name__}")
@@ -656,11 +664,11 @@ def folner_ratio(ctx: SemidirectContext, x: SemidirectElement, n: int) -> Fracti
     """Exact right-invariance defect |F_N minus F_N x| / |F_N|.
 
     Right translation shifts the s-levels up by s(x) and permutes each
-    level, so the defect is exactly min(s(x), N+1)/(N+1): the windows are a
-    right Folner sequence, since for fixed x that tends to zero.
+    level, so the defect is the closed form min(s(x), N+1)/(N+1) returned
+    here: the windows are a right Folner sequence, since for fixed x that
+    tends to zero.
     """
     _check_element(ctx, x)
-    window = folner_window(ctx, n)
-    image = {semidirect_mul(ctx, y, x) for y in window}
-    missing = sum(1 for y in window if y not in image)
-    return Fraction(missing, len(window))
+    if n < 0:
+        raise BadParams("window size must be >= 0")
+    return Fraction(min(x.s, n + 1), n + 1)

@@ -4,7 +4,8 @@ Everything here re-derives answers from the raw functional equations with
 sympy, deliberately avoiding the library's own algorithms: symmetry orders
 come from coefficient systems solved in cyclotomic quotient fields,
 special-ness certificates from ramification data and sympy's algebraic
-solver, decomposability from sympy.decompose.
+solver, decomposability from sympy.decompose.  Folner defects come from
+enumerating the window and its translate under the multiplication law.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ import sympy
 from sympy import Rational, Symbol, cyclotomic_poly, resultant, totient
 
 from ritt_lab.polynomials import AffineMap, Poly
+from ritt_lab.semigroup import folner_window, semidirect_mul
 
 _z = Symbol("z")
 _a = Symbol("a")
@@ -149,14 +151,26 @@ def certified_not_special(p: Poly) -> bool:
 
 def twisted_relations_oracle(a: Poly, b: Poly, k: int, l: int) -> bool:
     """A^(2k) == A^k o B^l and B^(2l) == B^l o A^k by their definition:
-    the four compositions of degree N^2 (N = deg A^k), built in sympy."""
-    A, B = sympy.Poly(to_expr(a), _z), sympy.Poly(to_expr(b), _z)
+    the four compositions of degree N^2 (N = deg A^k), built in sympy.
+
+    Both polys live over QQ: sympy compares a ZZ poly and a QQ poly with the
+    same coefficients as unequal, and the domain it infers depends on the
+    coefficients."""
+    A, B = (sympy.Poly(to_expr(p), _z, domain="QQ") for p in (a, b))
     ak, bl = A, B
     for _ in range(k - 1):
         ak = A.compose(ak)
     for _ in range(l - 1):
         bl = B.compose(bl)
     return ak.compose(ak) == ak.compose(bl) and bl.compose(bl) == bl.compose(ak)
+
+
+def folner_ratio_oracle(ctx, x, n: int) -> Fraction:
+    """|F_N minus F_N x| / |F_N| by enumerating the window and its right
+    translate through the multiplication law."""
+    window = folner_window(ctx, n)
+    image = {semidirect_mul(ctx, y, x) for y in window}
+    return Fraction(sum(1 for y in window if y not in image), len(window))
 
 
 def indecomposable_oracle(p: Poly) -> bool:

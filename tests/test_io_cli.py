@@ -277,13 +277,22 @@ def test_cli_rationals_serialize_as_strings(capsys):
     assert doc["result"]["b"] == "1/1"
 
 
-GOLDEN = Path(__file__).parent / "golden" / "gallery_cli.json"
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def check_pinned(capsys, monkeypatch, name):
+    monkeypatch.delenv("RITT_LAB_BOUNDS", raising=False)
+    for case in json.loads((GOLDEN / name).read_text()):
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
 
 
 def test_cli_gallery_stdout_is_pinned(capsys, monkeypatch):
     """`twisted` and `classify` on the scripts/classify_gallery.py rows print
     the pinned stdout byte for byte, however the searches are implemented."""
-    monkeypatch.delenv("RITT_LAB_BOUNDS", raising=False)
-    for case in json.loads(GOLDEN.read_text()):
-        assert main(case["argv"]) == 0
-        assert capsys.readouterr().out == case["stdout"], case["argv"]
+    check_pinned(capsys, monkeypatch, "gallery_cli.json")
+
+
+def test_cli_subcommand_stdout_is_pinned(capsys, monkeypatch):
+    """The other twelve subcommands print the pinned stdout byte for byte."""
+    check_pinned(capsys, monkeypatch, "subcommands_cli.json")

@@ -18,7 +18,6 @@ from ritt_lab.polynomials import (
     int_nth_root,
     iterate,
     rational_nth_root,
-    xgcd,
 )
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -156,14 +155,14 @@ def test_affine_rejects_degenerate():
         AffineMap.from_poly(Z**2)
 
 
-@given(polys(min_degree=1, max_degree=3), polys(min_degree=1, max_degree=3))
+@given(polys(min_degree=1, max_degree=3), polys(min_degree=1, max_degree=3),
+       polys(min_degree=1, max_degree=2))
 @settings(max_examples=60)
-def test_xgcd_bezout(f, g):
-    d, s, t = xgcd(f, g)
-    assert s * f + t * g == d
+def test_gcd_divides_and_scales(f, g, h):
+    d = gcd(f, g)
     assert d.lc == 1
     assert f % d == ZERO and g % d == ZERO
-    assert gcd(f, g) == d
+    assert gcd(f * h, g * h) == (h * d).monic()
 
 
 def test_gcd_known_factor():

@@ -1,0 +1,83 @@
+"""The common-iterate and commutation searches against a plain walk of the
+same grid that decides each step by exact composition alone."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ritt_lab.forms import chebyshev
+from ritt_lab.polynomials import Poly, Z, compose, iterate
+from ritt_lab.semigroup import (
+    NO,
+    UNKNOWN,
+    YES,
+    BoundExhausted,
+    CommonIterate,
+    DegreeObstruction,
+    LeadingCoeffObstruction,
+    Outcome,
+    SearchBounds,
+    common_iterate,
+    commutes_with_iterate,
+)
+
+MAX_N = 16  # largest iterate degree either walk builds
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+SPECIAL = (Z**2, Z**3, -Z**3, Z**4, chebyshev(2), chebyshev(3), -chebyshev(3))
+
+
+@st.composite
+def polys(draw, min_degree=2, max_degree=4):
+    deg = draw(st.integers(min_degree, max_degree))
+    return Poly([draw(small) for _ in range(deg)] + [draw(small.filter(bool))])
+
+
+@st.composite
+def kin_pairs(draw):
+    """Two maps drawn from relatives of one random p and a few special maps,
+    so shared iterates and commuting pairs come up as well as misses."""
+    p = draw(polys())
+    kin = [p, -p, p + draw(small), compose(-Z, compose(p, -Z)), draw(polys()), *SPECIAL]
+    if p.degree == 2:
+        kin.append(iterate(p, 2))
+    return draw(st.sampled_from(kin)), draw(st.sampled_from(kin))
+
+
+def first_commuting_iterate(a, b, lmax):
+    for l in range(1, lmax + 1):
+        bl = iterate(b, l)
+        if compose(a, bl) == compose(bl, a):
+            return l
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(kin_pairs())
+@example((-Z**3, Z**3))  # refuted at t = 1, shared at t = 2
+def test_common_iterate_matches_exact_walk(pair):
+    a, b = pair
+    n, m = a.degree, b.degree
+    grid = next(((k, l) for k in range(1, 5) for l in range(1, 5) if n**k == m**l), None)
+    if grid is None:
+        assert common_iterate(a, b) == Outcome(NO, DegreeObstruction(n, m))
+        return
+    k0, l0 = grid
+    bounds = SearchBounds(tmax=max(t for t in range(1, 5) if n ** (k0 * t) <= MAX_N))
+    hit = next((CommonIterate(k0 * t, l0 * t) for t in range(1, bounds.tmax + 1)
+                if iterate(a, k0 * t) == iterate(b, l0 * t)), None)
+    out = common_iterate(a, b, bounds)
+    if hit is not None:
+        assert out == Outcome(YES, hit)
+    elif out.status == NO:
+        assert isinstance(out.certificate, LeadingCoeffObstruction)
+    else:
+        assert out == Outcome(UNKNOWN, BoundExhausted(bounds))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kin_pairs())
+@example((Z**2, -Z**3))  # commutes with B^2, not with B
+def test_commutes_with_iterate_matches_exact_walk(pair):
+    a, b = pair
+    lmax = max(l for l in range(1, 5) if b.degree**l <= MAX_N)
+    assert commutes_with_iterate(a, b, SearchBounds(lmax=lmax)) == first_commuting_iterate(a, b, lmax)

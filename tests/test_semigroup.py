@@ -1,9 +1,12 @@
+import dataclasses
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from oracles import folner_ratio_oracle
 from ritt_lab.errors import (
     BadParams,
     BadSubgroup,
@@ -149,6 +152,13 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_certificate(CommonIterate(1, 1), -Z**3, Z**3)
     assert not verify_certificate(TwistedPair(2, 1), -P4, P4)
     assert not verify_certificate(TwistedPair(10**6, 1), Z**2, Z**3)  # degrees checked first
+    start = time.perf_counter()
+    assert not verify_certificate(CommonIterate(10**6, 1), Z**2 + 1, Z**3 + 1)
+    assert time.perf_counter() - start < 1
+    lc = common_iterate(2 * Z**2, Z**2, B).certificate
+    assert isinstance(lc, LeadingCoeffObstruction) and verify_certificate(lc, 2 * Z**2, Z**2)
+    for field, value in (("prime", 3), ("lc_a", Fraction(7)), ("reason", "sign")):
+        assert not verify_certificate(dataclasses.replace(lc, **{field: value}), 2 * Z**2, Z**2)
     assert not verify_certificate(DegreeObstruction(2, 4), Z**2, Z**4)
     assert not verify_certificate(CommutesWithIterate(1), Z**2 + 1, Z**2 + 2)
     good = common_iterate(-P4, P4, B).certificate
@@ -370,6 +380,17 @@ def test_folner_ratio_frozen():
     assert folner_ratio(ctx, SemidirectElement(1, 3), 9) == Fraction(3, 10)
     # a translate past the window misses all of it: min(s, N+1)/(N+1) == 1
     assert folner_ratio(abstract_semidirect_context(3, 1, 3), SemidirectElement(0, 6), 4) == 1
+
+
+def test_folner_ratio_matches_window_enumeration():
+    for ell in range(1, 7):
+        for d, r in product(range(1, ell + 1), range(ell)):
+            if ell % d:
+                continue
+            ctx = abstract_semidirect_context(ell, r, d)
+            for j, s, n in product(range(d), range(9), range(7)):
+                x = SemidirectElement(j, s)
+                assert folner_ratio(ctx, x, n) == folner_ratio_oracle(ctx, x, n), (ell, r, d, x, n)
 
 
 def test_folner_ratio_power_translate_law():
