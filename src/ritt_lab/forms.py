@@ -15,7 +15,7 @@ the package branch on the answer computed here.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeTooLow
+from .errors import BadParams, DegreeTooLow
 from .polynomials import (
     Z,
     AffineMap,
@@ -86,7 +86,7 @@ def center(p: Poly) -> CenteredForm:
 def chebyshev(n: int) -> Poly:
     """T_n with T_0 = 1, T_1 = z, T_{k+1} = 2 z T_k - T_{k-1}."""
     if n < 0:
-        raise ValueError("chebyshev index must be >= 0")
+        raise BadParams("chebyshev index must be >= 0")
     a, b = Poly((1,)), Z
     if n == 0:
         return a
@@ -103,7 +103,7 @@ def monic_chebyshev(n: int) -> Poly:
     decisive.
     """
     if n < 0:
-        raise ValueError("chebyshev index must be >= 0")
+        raise BadParams("chebyshev index must be >= 0")
     a, b = Poly((2,)), Z
     if n == 0:
         return a

@@ -3,13 +3,19 @@
 Every subcommand prints exactly one JSON document on stdout and exits 0
 whenever a result was computed (including No and Unknown verdicts); domain
 and syntax errors go to stderr with exit code 1, usage errors exit 2.
+
+The subcommands live in one table, COMMANDS: each row holds the help text,
+the argument specs and the function that computes the result.  The report's
+"input" echoes the parsed arguments in declaration order; `decompose` echoes
+`m` only when it is given, and `classify` leaves its bound flags out (the
+bounds in force appear in its result).
 """
 
 import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 from . import decompose as dec
@@ -228,140 +234,120 @@ def _parse_element(text: str) -> semigroup.SemidirectElement:
     return semigroup.SemidirectElement(j=j, s=s)
 
 
-def _cmd_compose(args):
-    p, q = parse_poly(args.p), parse_poly(args.q)
-    out = compose(p, q)
-    return report("compose", {"p": args.p, "q": args.q},
-                  {"poly": out, "degree": out.degree})
+def _arg(*flags, echo="always", **kw):
+    """One add_argument call.  echo says when the parsed value goes into the
+    report's input: "always", "given" (unless None) or "never"."""
+    return flags, kw, echo
 
 
-def _cmd_iterate(args):
+def _poly_result(p: Poly) -> dict:
+    return {"poly": p, "degree": p.degree}
+
+
+def _decompose(args):
     p = parse_poly(args.p)
-    out = iterate(p, args.k)
-    return report("iterate", {"p": args.p, "k": args.k},
-                  {"poly": out, "degree": out.degree})
+    if args.m is None:
+        return {"decompositions": [{"m": d.right.degree, "left": d.left, "right": d.right}
+                                   for d in dec.all_decompositions(p)]}
+    d = dec.right_factor(p, args.m)
+    if d is None:
+        return {"m": args.m, "found": False}
+    return {"m": args.m, "found": True, "left": d.left, "right": d.right}
 
 
-def _cmd_decompose(args):
-    p = parse_poly(args.p)
-    if args.m is not None:
-        d = dec.right_factor(p, args.m)
-        result = {"m": args.m, "found": d is not None}
-        if d is not None:
-            result["left"] = d.left
-            result["right"] = d.right
-        return report("decompose", {"p": args.p, "m": args.m}, result)
-    out = [
-        {"m": d.right.degree, "left": d.left, "right": d.right}
-        for d in dec.all_decompositions(p)
-    ]
-    return report("decompose", {"p": args.p}, {"decompositions": out})
-
-
-def _cmd_special(args):
-    p = parse_poly(args.p)
-    return report("special", {"p": args.p}, forms.is_special(p))
-
-
-def _cmd_aut(args):
-    p = parse_poly(args.p)
-    return report("aut", {"p": args.p}, symmetry.aut_group(p))
-
-
-def _cmd_gsym(args):
-    p = parse_poly(args.p)
-    return report("gsym", {"p": args.p}, symmetry.g_group(p))
-
-
-def _cmd_chebyshev(args):
-    out = forms.chebyshev(args.n)
-    return report("chebyshev", {"n": args.n}, {"poly": out, "degree": out.degree})
-
-
-def _cmd_common_iterate(args):
+def _search(find, args):
     a, b = parse_poly(args.a), parse_poly(args.b)
     bounds = bounds_from_env()
-    out = semigroup.common_iterate(a, b, bounds)
-    return report("common-iterate", {"a": args.a, "b": args.b},
-                  {"outcome": out, "bounds": bounds})
+    return {"outcome": find(a, b, bounds), "bounds": bounds}
 
 
-def _cmd_twisted(args):
-    a, b = parse_poly(args.a), parse_poly(args.b)
-    bounds = bounds_from_env()
-    out = semigroup.twisted_pair(a, b, bounds)
-    return report("twisted", {"a": args.a, "b": args.b},
-                  {"outcome": out, "bounds": bounds})
-
-
-def _cmd_classify(args):
+def _classify(args):
     gens = [parse_poly(t) for t in args.polys]
-    base = bounds_from_env()
-    bounds = semigroup.SearchBounds(
-        tmax=args.tmax if args.tmax is not None else base.tmax,
-        lmax=args.lmax if args.lmax is not None else base.lmax,
-        wordmax=args.wordmax if args.wordmax is not None else base.wordmax,
-    )
-    verdict = semigroup.classify(gens, bounds)
-    return report("classify", {"polys": list(args.polys)},
-                  {"verdict": verdict, "bounds": bounds})
+    given = {k: v for k in ("tmax", "lmax", "wordmax") if (v := getattr(args, k)) is not None}
+    bounds = replace(bounds_from_env(), **given)
+    return {"verdict": semigroup.classify(gens, bounds), "bounds": bounds}
 
 
-def _cmd_semidirect(args):
-    rpoly = parse_poly(args.r)
-    ctx = semigroup.semidirect_context(rpoly, args.d)
-    inputs = {"r": args.r, "d": args.d, "op": args.op, "x": args.x, "y": args.y}
-    ctx_info = {"d": ctx.d, "twist": ctx.twist, "ell": ctx.ell}
+def _semidirect(args):
+    ctx = semigroup.semidirect_context(parse_poly(args.r), args.d)
+    out = {"context": {"d": ctx.d, "twist": ctx.twist, "ell": ctx.ell}}
     if args.op == "mul":
         if args.x is None or args.y is None:
             raise BadParams("mul needs --x and --y")
-        out = semigroup.semidirect_mul(ctx, _parse_element(args.x), _parse_element(args.y))
-        return report("semidirect", inputs, {"context": ctx_info, "product": out})
-    if args.op == "realize":
+        out["product"] = semigroup.semidirect_mul(ctx, _parse_element(args.x), _parse_element(args.y))
+    elif args.op == "realize":
         if args.x is None:
             raise BadParams("realize needs --x")
-        out = semigroup.semidirect_realize(ctx, _parse_element(args.x))
-        return report("semidirect", inputs, {"context": ctx_info, "poly": out})
-    return report("semidirect", inputs,
-                  {"context": ctx_info, "left_amenable": semigroup.sgr_left_amenable(ctx)})
+        out["poly"] = semigroup.semidirect_realize(ctx, _parse_element(args.x))
+    else:
+        out["left_amenable"] = semigroup.sgr_left_amenable(ctx)
+    return out
 
 
-def _cmd_folner(args):
-    rpoly = parse_poly(args.r)
-    ctx = semigroup.semidirect_context(rpoly, args.d)
-    x = _parse_element(args.x)
-    ratio = semigroup.folner_ratio(ctx, x, args.n)
-    return report(
-        "folner",
-        {"r": args.r, "d": args.d, "x": args.x, "n": args.n},
-        {"ratio": ratio, "window_size": ctx.d * (args.n + 1)},
-    )
+def _folner(args):
+    ctx = semigroup.semidirect_context(parse_poly(args.r), args.d)
+    ratio = semigroup.folner_ratio(ctx, _parse_element(args.x), args.n)
+    return {"ratio": ratio, "window_size": ctx.d * (args.n + 1)}
 
 
-def _cmd_ritt1(args):
-    a, c, b, d = (parse_poly(t) for t in (args.a, args.c, args.b, args.d))
-    return report(
-        "ritt1",
-        {"a": args.a, "c": args.c, "b": args.b, "d": args.d},
-        dec.ritt_first(a, c, b, d),
-    )
-
-
-def _cmd_ritt2(args):
+def _ritt2(args):
     if args.kind == "power":
         if args.r is None or args.s is None or args.n is None:
             raise BadParams("power kind needs --r, --s, --n")
-        quad = dec.ritt_second_family("power", r=parse_poly(args.r), s=args.s, n=args.n)
+        a, c, b, d = dec.ritt_second_family("power", r=parse_poly(args.r), s=args.s, n=args.n)
     else:
         if args.m is None or args.n is None:
             raise BadParams("chebyshev kind needs --m, --n")
-        quad = dec.ritt_second_family("chebyshev", m=args.m, n=args.n)
-    a, c, b, d = quad
-    return report(
-        "ritt2-verify",
-        {"kind": args.kind, "r": args.r, "s": args.s, "n": args.n, "m": args.m},
-        {"a": a, "c": c, "b": b, "d": d, "composite": compose(a, c), "verified": True},
-    )
+        a, c, b, d = dec.ritt_second_family("chebyshev", m=args.m, n=args.n)
+    return {"a": a, "c": c, "b": b, "d": d, "composite": compose(a, c), "verified": True}
+
+
+# Every subcommand: its help, its arguments, and the function from the parsed
+# arguments to the report's result.  Library functions are looked up when a
+# command runs, not when the table is built, so wrapping a module attribute
+# (as a tracer does) reaches the CLI too.
+COMMANDS = {
+    "compose": ("p o q", [_arg("p"), _arg("q")],
+                lambda args: _poly_result(compose(parse_poly(args.p), parse_poly(args.q)))),
+    "iterate": ("k-fold self-composition", [_arg("p"), _arg("k", type=int)],
+                lambda args: _poly_result(iterate(parse_poly(args.p), args.k))),
+    "decompose": ("functional decompositions of p",
+                  [_arg("p"), _arg("m", type=int, nargs="?", echo="given",
+                                   help="right factor degree (default: all divisors)")],
+                  _decompose),
+    "special": ("conjugate of z^n or +-T_n?", [_arg("p")],
+                lambda args: forms.is_special(parse_poly(args.p))),
+    "aut": ("commuting affine symmetries", [_arg("p")],
+            lambda args: symmetry.aut_group(parse_poly(args.p))),
+    "gsym": ("affine symmetries with companions", [_arg("p")],
+             lambda args: symmetry.g_group(parse_poly(args.p))),
+    "chebyshev": ("Chebyshev polynomial T_n", [_arg("n", type=int)],
+                  lambda args: _poly_result(forms.chebyshev(args.n))),
+    "common-iterate": ("search a^k == b^l", [_arg("a"), _arg("b")],
+                       lambda args: _search(semigroup.common_iterate, args)),
+    "twisted": ("search the power-twisted relations", [_arg("a"), _arg("b")],
+                lambda args: _search(semigroup.twisted_pair, args)),
+    "classify": ("amenability verdict with certificates",
+                 [_arg("polys", nargs="+"), _arg("--tmax", type=int, echo="never"),
+                  _arg("--lmax", type=int, echo="never"), _arg("--wordmax", type=int, echo="never")],
+                 _classify),
+    "semidirect": ("rotation-subgroup semigroup arithmetic",
+                   [_arg("r"), _arg("--d", type=int, required=True),
+                    _arg("--op", choices=["mul", "realize", "left-amenable"], required=True),
+                    _arg("--x", help="element 'j,s'"), _arg("--y", help="element 'j,s'")],
+                   _semidirect),
+    "folner": ("exact window invariance defect",
+               [_arg("r"), _arg("--d", type=int, required=True),
+                _arg("--x", required=True, help="element 'j,s'"), _arg("--n", type=int, required=True)],
+               _folner),
+    "ritt1": ("common refinement of a o c == b o d", [_arg("a"), _arg("c"), _arg("b"), _arg("d")],
+              lambda args: dec.ritt_first(*(parse_poly(t) for t in (args.a, args.c, args.b, args.d)))),
+    "ritt2-verify": ("build and verify a classical identity",
+                     [_arg("kind", choices=["power", "chebyshev"]),
+                      _arg("--r", help="inner polynomial (power kind)"), _arg("--s", type=int),
+                      _arg("--n", type=int), _arg("--m", type=int)],
+                     _ritt2),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,95 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact composition dynamics of rational-coefficient polynomials",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compose", help="p o q")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(handler=_cmd_compose)
-
-    p = sub.add_parser("iterate", help="k-fold self-composition")
-    p.add_argument("p")
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_iterate)
-
-    p = sub.add_parser("decompose", help="functional decompositions of p")
-    p.add_argument("p")
-    p.add_argument("m", type=int, nargs="?", default=None,
-                   help="right factor degree (default: all divisors)")
-    p.set_defaults(handler=_cmd_decompose)
-
-    p = sub.add_parser("special", help="conjugate of z^n or +-T_n?")
-    p.add_argument("p")
-    p.set_defaults(handler=_cmd_special)
-
-    p = sub.add_parser("aut", help="commuting affine symmetries")
-    p.add_argument("p")
-    p.set_defaults(handler=_cmd_aut)
-
-    p = sub.add_parser("gsym", help="affine symmetries with companions")
-    p.add_argument("p")
-    p.set_defaults(handler=_cmd_gsym)
-
-    p = sub.add_parser("chebyshev", help="Chebyshev polynomial T_n")
-    p.add_argument("n", type=int)
-    p.set_defaults(handler=_cmd_chebyshev)
-
-    p = sub.add_parser("common-iterate", help="search a^k == b^l")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_common_iterate)
-
-    p = sub.add_parser("twisted", help="search the power-twisted relations")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(handler=_cmd_twisted)
-
-    p = sub.add_parser("classify", help="amenability verdict with certificates")
-    p.add_argument("polys", nargs="+")
-    p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--lmax", type=int, default=None)
-    p.add_argument("--wordmax", type=int, default=None)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("semidirect", help="rotation-subgroup semigroup arithmetic")
-    p.add_argument("r")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--op", choices=["mul", "realize", "left-amenable"], required=True)
-    p.add_argument("--x", default=None, help="element 'j,s'")
-    p.add_argument("--y", default=None, help="element 'j,s'")
-    p.set_defaults(handler=_cmd_semidirect)
-
-    p = sub.add_parser("folner", help="exact window invariance defect")
-    p.add_argument("r")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--x", required=True, help="element 'j,s'")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_folner)
-
-    p = sub.add_parser("ritt1", help="common refinement of a o c == b o d")
-    p.add_argument("a")
-    p.add_argument("c")
-    p.add_argument("b")
-    p.add_argument("d")
-    p.set_defaults(handler=_cmd_ritt1)
-
-    p = sub.add_parser("ritt2-verify", help="build and verify a classical identity")
-    p.add_argument("kind", choices=["power", "chebyshev"])
-    p.add_argument("--r", default=None, help="inner polynomial (power kind)")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.set_defaults(handler=_cmd_ritt2)
-
+    for name, (help_text, specs, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flags, kw, _ in specs:
+            p.add_argument(*flags, **kw)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, specs, run = COMMANDS[args.command]
+    inputs = {}
+    for flags, _, echo in specs:
+        name = flags[0].lstrip("-")
+        value = getattr(args, name)
+        if echo == "always" or (echo == "given" and value is not None):
+            inputs[name] = value
     try:
-        doc = args.handler(args)
+        result = run(args)
     except RittLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(report(args.command, inputs, result), indent=2))
     return 0

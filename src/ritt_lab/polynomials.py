@@ -8,6 +8,8 @@ polynomial.
 
 from fractions import Fraction
 
+from .errors import BadParams
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -253,7 +255,7 @@ def compose(p: Poly, q: Poly) -> Poly:
 def iterate(p: Poly, k: int) -> Poly:
     """k-fold self-composition p o p o ... o p (k >= 1 copies)."""
     if k < 1:
-        raise ValueError("iteration count must be >= 1")
+        raise BadParams("iteration count must be >= 1")
     out = p
     for _ in range(k - 1):
         out = compose(p, out)

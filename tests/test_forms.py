@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import conjugacy_exists, rand_affine, rand_poly
-from ritt_lab.errors import DegreeTooLow
+from ritt_lab.errors import BadParams, DegreeTooLow
 from ritt_lab.forms import (
     ChebyshevConjugate,
     NotSpecial,
@@ -83,6 +83,12 @@ def test_monic_chebyshev_model():
         assert m == conjugate(chebyshev(n), AffineMap(Fraction(2), Fraction(0)))
         # full parity support: every coefficient of matching parity is nonzero
         assert m.support() == tuple(range(n % 2, n + 1, 2))
+
+
+def test_chebyshev_rejects_negative_index():
+    for family in (chebyshev, monic_chebyshev):
+        with pytest.raises(BadParams):
+            family(-1)
 
 
 # -- special detection ------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ritt_lab.errors import ParseError
-from ritt_lab.io_cli import REPORT_SCHEMA, bounds_from_env, main, parse_poly, render_poly
+from ritt_lab.io_cli import COMMANDS, REPORT_SCHEMA, bounds_from_env, main, parse_poly, render_poly
 from ritt_lab.polynomials import Poly, Z
 from ritt_lab.semigroup import SearchBounds
 
@@ -258,6 +258,31 @@ def test_cli_usage_error_exit_code(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv, env_bounds, message", [
+    (["semidirect", "z^4 + z^2", "--d", "2", "--op", "mul", "--x", "1,1"], None,
+     "error: mul needs --x and --y"),
+    (["semidirect", "z^4 + z^2", "--d", "2", "--op", "realize"], None, "error: realize needs --x"),
+    (["ritt2-verify", "power", "--r", "z + 1", "--n", "3"], None, "error: power kind needs --r, --s, --n"),
+    (["ritt2-verify", "chebyshev", "--n", "3"], None, "error: chebyshev kind needs --m, --n"),
+    (["folner", "z^4 + z^2", "--d", "2", "--x", "1", "--n", "3"], None,
+     "error: element must look like 'j,s', got '1'"),
+    (["folner", "z^4 + z^2", "--d", "2", "--x", "a,b", "--n", "3"], None,
+     "error: element must hold two integers, got 'a,b'"),
+    (["classify", "z^2 + 1", "z^2 + 2"], "2,3", "error: RITT_LAB_BOUNDS must be 'tmax,lmax,wordmax'"),
+    (["iterate", "z^2", "0"], None, "error: iteration count must be >= 1"),
+    (["iterate", "z^2", "-1"], None, "error: iteration count must be >= 1"),
+    (["chebyshev", "--", "-1"], None, "error: chebyshev index must be >= 0"),
+])
+def test_cli_error_paths(capsys, monkeypatch, argv, env_bounds, message):
+    """A domain error is one pinned `error:` line on stderr, exit 1, and
+    nothing on stdout."""
+    if env_bounds is None:
+        monkeypatch.delenv("RITT_LAB_BOUNDS", raising=False)
+    else:
+        monkeypatch.setenv("RITT_LAB_BOUNDS", env_bounds)
+    assert run_cli(capsys, *argv) == (1, "", message + "\n")
+
+
 def test_cli_unknown_is_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "common-iterate", "z^2 + 1", "z^2 + 2")
     assert code == 0
@@ -296,3 +321,8 @@ def test_cli_gallery_stdout_is_pinned(capsys, monkeypatch):
 def test_cli_subcommand_stdout_is_pinned(capsys, monkeypatch):
     """The other twelve subcommands print the pinned stdout byte for byte."""
     check_pinned(capsys, monkeypatch, "subcommands_cli.json")
+
+
+def test_every_subcommand_has_pinned_stdout():
+    pinned = {case["argv"][0] for path in GOLDEN.glob("*.json") for case in json.loads(path.read_text())}
+    assert set(COMMANDS) <= pinned

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ritt_lab.errors import BadParams
 from ritt_lab.polynomials import (
     AffineMap,
     ONE,
@@ -114,7 +115,7 @@ def test_iterate_matches_repeated_compose(p, k):
 
 
 def test_iterate_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         iterate(Z**2, 0)
 
 
