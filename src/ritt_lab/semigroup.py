@@ -194,17 +194,81 @@ NOTE_SPECIAL_UNDECIDED = (
 _SAMPLE_POINTS = (Fraction(2), Fraction(-3, 2), Fraction(5, 7))
 
 
+# Miller-Rabin on these bases proves primality below _PSI13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
+_RHO_BATCH = 128
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on _MR_BASES for n with no prime factor <= 41; a pass at
+    or above _PSI13 proves nothing, so it raises BadParams."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PSI13:
+        raise BadParams(f"cannot prove that the factor {n} is prime: Miller-Rabin on the "
+                        f"primes up to 41 is a proof only below {_PSI13}")
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n by Pollard-Brent rho (Brent, BIT 20,
+    1980), one gcd per batch of steps; an overshot batch is replayed by step."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = igcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = igcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def _factor(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1, primes ascending.  The primes up
+    to 41 are divided out; each larger piece is proven prime by Miller-Rabin
+    or split by Pollard-Brent rho.  A piece at or above _PSI13 that passes
+    the test cannot be proven prime, so it raises BadParams."""
     out: dict[int, int] = {}
-    k = 2
-    while k * k <= n:
-        while n % k == 0:
-            out[k] = out.get(k, 0) + 1
-            n //= k
-        k += 1 if k == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    for p in _MR_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    pieces = [n] if n > 1 else []
+    while pieces:
+        m = pieces.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            pieces += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 def _prime_exponents(r: Fraction) -> dict[int, int]:
@@ -276,14 +340,19 @@ def _lc_obstruction(A: Poly, B: Poly, k0: int, l0: int) -> LeadingCoeffObstructi
     f(t) = (N^t - 1)/(m - 1), so per prime the condition a_p e(t) == b_p f(t)
     reduces to the t-free a_p (m-1) == b_p (n-1); the sign condition only
     sees t mod 2.
+
+    Some prime breaks it exactly when |lc A|^(m-1) != |lc B|^(n-1); only
+    then does _factor (Pollard-Brent rho, Miller-Rabin proofs) name the
+    smallest such prime, raising BadParams on a factor at or above _PSI13.
     """
     n, m = A.degree, B.degree
-    ea, eb = _prime_exponents(A.lc), _prime_exponents(B.lc)
-    for pr in sorted(set(ea) | set(eb)):
-        if ea.get(pr, 0) * (m - 1) != eb.get(pr, 0) * (n - 1):
-            return LeadingCoeffObstruction(
-                n=n, m=m, k0=k0, l0=l0, lc_a=A.lc, lc_b=B.lc, reason="prime", prime=pr
-            )
+    if abs(A.lc) ** (m - 1) != abs(B.lc) ** (n - 1):
+        ea, eb = _prime_exponents(A.lc), _prime_exponents(B.lc)
+        for pr in sorted(set(ea) | set(eb)):
+            if ea.get(pr, 0) * (m - 1) != eb.get(pr, 0) * (n - 1):
+                return LeadingCoeffObstruction(
+                    n=n, m=m, k0=k0, l0=l0, lc_a=A.lc, lc_b=B.lc, reason="prime", prime=pr
+                )
     if not _sign_parities(A, B, k0, l0):
         return LeadingCoeffObstruction(
             n=n, m=m, k0=k0, l0=l0, lc_a=A.lc, lc_b=B.lc, reason="sign", prime=None

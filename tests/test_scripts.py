@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,3 +16,29 @@ def test_script_runs(script):
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+PRIME = 100000000000000000000000000319  # sympy.nextprime(10**29)
+PSI13 = 3317044064679887385961981
+
+
+def _cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "ritt_lab", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
+def test_cli_classifies_large_prime_coefficient():
+    # P and P o P for P = PRIME z^2 + z: the lc powers agree, so nothing is factored
+    p, pp = f"{PRIME}*z^2 + z", f"{PRIME**3}*z^4 + {2 * PRIME**2}*z^3 + {2 * PRIME}*z^2 + z"
+    done = _cli("classify", p, pp)
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout)["result"]["verdict"]
+    assert verdict["left_amenable"]["status"] == verdict["right_amenable"]["status"] == "Yes"
+
+
+def test_cli_refuses_unprovable_prime():
+    done = _cli("classify", f"{PSI13}*z^2", "z^2 + z")
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -5,6 +5,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import folner_ratio_oracle
 from ritt_lab.errors import (
@@ -29,6 +32,7 @@ from ritt_lab.semigroup import (
     SearchBounds,
     SemidirectElement,
     TwistedPair,
+    _factor,
     abstract_semidirect_context,
     classify,
     common_iterate,
@@ -103,6 +107,56 @@ def test_common_iterate_prime_obstruction():
     cert = out.certificate
     assert isinstance(cert, LeadingCoeffObstruction)
     assert cert.reason == "prime" and cert.prime == 2
+
+
+PSI12 = 318665857834031151167461  # least strong pseudoprime to the prime bases up to 37
+PSI13 = 3317044064679887385961981  # the same for the bases up to 41
+SEMIPRIME = 100000007 * 100000037
+
+
+@settings(deadline=None)  # PSI12 splits into two 12-digit primes: about 0.5 s with sympy
+@given(st.integers(1, 10**18))
+@example(1)
+@example(2)
+@example(2**61)
+@example(3**40)
+@example(561)
+@example(2047)
+@example(3215031751)  # strong pseudoprime to 2, 3, 5 and 7
+@example(PSI12)
+@example(SEMIPRIME)
+def test_factor_matches_sympy(n):
+    assert _factor(n) == sympy.factorint(n)
+
+
+def test_factor_refuses_unprovable_prime():
+    with pytest.raises(BadParams):
+        common_iterate(PSI13 * Z**2, Z**2 + Z, B)
+
+
+def test_lc_obstruction_at_benchmark_scale():
+    a, b = SEMIPRIME * Z**2, Z**2 + Z
+    out = common_iterate(a, b, B)
+    assert out.status == NO
+    cert = out.certificate
+    assert isinstance(cert, LeadingCoeffObstruction)
+    assert cert.reason == "prime" and cert.prime == 100000007
+    assert verify_certificate(cert, a, b)
+    v = classify([SEMIPRIME * Z**2, Z**2], B)  # both generators special: Unknown
+    assert (v.left_amenable.status, v.right_amenable.status, v.amenable) == (UNKNOWN,) * 3
+    for side in (v.left_amenable, v.right_amenable):
+        assert [(f.subject, f.outcome.status) for f in side.findings] == [
+            ("g0|g0", YES), ("g0|g1", UNKNOWN), ("g1|g1", YES)]
+
+
+def test_equal_lc_powers_skip_factoring():
+    p = sympy.nextprime(10**29) * Z**2 + Z  # a 30-digit prime lc, never factored here
+    gens = [p, compose(p, p)]
+    v = classify(gens, B)
+    assert v.left_amenable.status == YES and v.right_amenable.status == YES
+    for f in v.left_amenable.findings + v.right_amenable.findings:
+        i, j = (int(g[1:]) for g in f.subject.split("|"))
+        assert verify_certificate(f.outcome.certificate, gens[i], gens[j])
 
 
 def test_common_iterate_unknown():
