@@ -2,11 +2,12 @@
 
 The normalized right factor of a given degree (monic, zero constant term) is
 unique when it exists, which makes decomposition searchable degree by
-degree: the top coefficients of f force the right factor through a
-triangular linear solve, and the left factor is then the base-h digit
-expansion of f, accepted only if every digit is constant.  Decomposability
-does not change when the coefficient field grows from Q to C, so a None
-here is definitive.
+degree: the reversed right factor is the power-series (deg f / deg h)-th
+root of the reversed f / lc(f) to deg h terms (Kozen-Landau's approximate
+root, by J. C. P. Miller's recurrence), and the left factor is then the
+base-h digit expansion of f, given up at the first non-constant digit.
+Decomposability does not change when the coefficient field grows from Q to
+C, so a None here is definitive.
 """
 
 from dataclasses import dataclass
@@ -61,24 +62,28 @@ class NoRationalWitness:
 NO_RATIONAL_WITNESS = NoRationalWitness()
 
 
-def _digits(f: Poly, h: Poly) -> list[Poly]:
-    """Base-h expansion of f, lowest digit first (exact, h monic)."""
+def _digits(f: Poly, h: Poly) -> Poly | None:
+    """The g with g o h == f, read off the base-h expansion of f lowest
+    digit first, or None at the first digit that is not a constant."""
     out = []
     cur = f
     while cur:
         cur, r = divmod(cur, h)
-        out.append(r)
-    return out
+        if r.degree > 0:
+            return None
+        out.append(r[0])
+    return Poly(out)
 
 
 def right_factor(f: Poly, m: int) -> Decomposition | None:
     """Find f == g o h with h monic of degree m and h(0) == 0, if possible.
 
-    h is forced coefficient by coefficient: the top m coefficients of f
-    must agree with those of lc(f) * h^(deg f / m), and each comparison is
-    linear in the next unknown coefficient of h with invertible slope.
-    Afterwards f is expanded in base h; the expansion has constant digits
-    exactly when the decomposition exists, and the digits are g.
+    With F_i = f[n - i] / lc(f) and q = n / m, the reversed h is the
+    power-series root F^(1/q) to m terms.  Miller's recurrence G_0 = 1,
+    G_k = (1/k) * sum_{i=1..k} ((1/q + 1) * i - k) * F_i * G_{k-i} gives
+    them, and h = z^m + sum_{j=1..m-1} G_j z^(m-j).  Afterwards f is
+    expanded in base h; the expansion has constant digits exactly when the
+    decomposition exists, and the digits are g.
     """
     n = f.degree
     if n < 1:
@@ -86,17 +91,14 @@ def right_factor(f: Poly, m: int) -> Decomposition | None:
     if m < 1 or m > n or n % m:
         raise BadDegree(f"right factor degree {m} does not divide {n}")
     q = n // m
-    c = f.lc
-    h = [Fraction(0)] * m + [Fraction(1)]
-    for j in range(1, m):
-        partial = c * Poly(h) ** q
-        h[m - j] = (f[n - j] - partial[n - j]) / (c * q)
-    hp = Poly(h)
-    digits = _digits(f, hp)
-    if any(d.degree > 0 for d in digits):
-        return None
-    g = Poly([d[0] for d in digits])
-    return Decomposition(left=g, right=hp)
+    F = [f[n - i] / f.lc for i in range(m)]
+    G = [Fraction(1)]
+    for k in range(1, m):
+        # ((1/q + 1) * i - k) / k == ((q + 1) * i - q * k) / (q * k)
+        G.append(sum(((q + 1) * i - q * k) * F[i] * G[k - i] for i in range(1, k + 1)) / (q * k))
+    hp = Poly([0] + G[:0:-1] + [1])
+    g = _digits(f, hp)
+    return None if g is None else Decomposition(left=g, right=hp)
 
 
 def right_compose_solve(v: Poly, d: Poly) -> Poly | None:
@@ -105,10 +107,7 @@ def right_compose_solve(v: Poly, d: Poly) -> Poly | None:
         raise BadDegree("inner polynomial must be nonconstant")
     if d.degree % v.degree:
         raise BadDegree(f"deg {v.degree} does not divide deg {d.degree}")
-    digits = _digits(d, v)
-    if any(dg.degree > 0 for dg in digits):
-        return None
-    return Poly([dg[0] for dg in digits])
+    return _digits(d, v)
 
 
 def left_compose_solve(u: Poly, b: Poly):

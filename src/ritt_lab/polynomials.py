@@ -3,10 +3,13 @@
 Every coefficient is a fractions.Fraction; nothing in this module ever
 rounds.  Composition is Horner evaluation in the polynomial ring, so the
 same code path serves evaluation at a point and substitution of another
-polynomial.
+polynomial, except an affine inner polynomial: conjugation, centering and
+the affine relations substitute one all the time, and there an integer
+Taylor shift over one common denominator replaces a Poly product per step.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadParams
 
@@ -120,14 +123,15 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly((1,))
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return Poly((1,)) if result is None else result
 
     def __call__(self, x):
         """Horner evaluation; x may be a rational or another Poly."""
@@ -244,10 +248,29 @@ class AffineMap:
         return f"AffineMap(a={self.a}, b={self.b})"
 
 
+def _affine_substitute(p: Poly, a: Fraction, b: Fraction) -> Poly:
+    """p(a*z + b) by an integer Taylor shift.  With b = bn/bd, den the common
+    denominator of p and u = bd*a*z, den * bd^n * p(a*z + b) has integer
+    coefficients in u + bn: shift them by bn in place, then make each one
+    Fraction."""
+    n = p.degree
+    den = lcm(*(c.denominator for c in p.coeffs))
+    bn, bd = b.numerator, b.denominator
+    cs = [c.numerator * (den // c.denominator) * bd ** (n - k) for k, c in enumerate(p.coeffs)]
+    if bn:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                cs[j] += bn * cs[j + 1]
+    s, t = bd * a.numerator, a.denominator
+    return Poly([Fraction(c * s**j, den * bd**n * t**j) for j, c in enumerate(cs)])
+
+
 def compose(p: Poly, q: Poly) -> Poly:
-    """p o q, i.e. p(q(z))."""
+    """p o q, i.e. p(q(z)); an affine q goes through _affine_substitute."""
     if not isinstance(q, Poly):
         q = Poly((q,))
+    if q.degree == 1 and p:
+        return _affine_substitute(p, q[1], q[0])
     out = p(q)
     return out if isinstance(out, Poly) else Poly((out,))
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import sympy
 from sympy import Rational, Symbol, cyclotomic_poly, resultant, totient
 
+from ritt_lab.decompose import Decomposition
 from ritt_lab.polynomials import AffineMap, Poly
 from ritt_lab.semigroup import folner_window, semidirect_mul
 
@@ -175,6 +176,29 @@ def folner_ratio_oracle(ctx, x, n: int) -> Fraction:
 
 def indecomposable_oracle(p: Poly) -> bool:
     return len(sympy.decompose(to_expr(p), _z)) == 1
+
+
+def right_factor_oracle(f: Poly, m: int) -> Decomposition | None:
+    """right_factor by its definition: the top m coefficients of f must
+    agree with those of lc(f) * h^(deg f / m), each comparison solved for
+    the next unknown coefficient of h, then f expanded in base h."""
+    n = f.degree
+    q = n // m
+    c = f.lc
+    h = [Fraction(0)] * m + [Fraction(1)]
+    for j in range(1, m):
+        partial = c * Poly(h) ** q
+        h[m - j] = (f[n - j] - partial[n - j]) / (c * q)
+    hp = Poly(h)
+    digits = []
+    cur = f
+    while cur:
+        cur, r = divmod(cur, hp)
+        digits.append(r)
+    if any(d.degree > 0 for d in digits):
+        return None
+    g = Poly([d[0] for d in digits])
+    return Decomposition(left=g, right=hp)
 
 
 def rand_fraction(rng, lo=-5, hi=5, dmax=5) -> Fraction:

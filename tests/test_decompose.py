@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import indecomposable_oracle, rand_poly
+from oracles import indecomposable_oracle, rand_affine, rand_poly, right_factor_oracle
 from ritt_lab.decompose import (
     NO_RATIONAL_WITNESS,
     all_decompositions,
@@ -16,7 +18,7 @@ from ritt_lab.decompose import (
 )
 from ritt_lab.errors import BadDegree, BadParams, NotAnIdentity
 from ritt_lab.forms import chebyshev
-from ritt_lab.polynomials import Poly, Z, compose
+from ritt_lab.polynomials import Poly, Z, compose, conjugate
 
 
 def _normalized(h):
@@ -64,6 +66,34 @@ def test_right_factor_degree_errors():
         right_factor(Z**4, 0)
     with pytest.raises(BadDegree):
         right_factor(Poly.constant(1), 1)
+
+
+@st.composite
+def decomposition_inputs(draw, max_degree=36):
+    """Composites, random maps (almost never decomposable) and conjugates
+    of z^n and T_n, all of degree <= max_degree."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["composite", "random", "power", "chebyshev"]))
+    if kind == "composite":
+        a = draw(st.integers(1, max_degree // 2))
+        b = draw(st.integers(1, max_degree // a))
+        return compose(rand_poly(rng, a), rand_poly(rng, b))
+    n = draw(st.integers(1, max_degree))
+    if kind == "random":
+        return rand_poly(rng, n)
+    base = Z**n if kind == "power" else chebyshev(n)
+    return conjugate(base, rand_affine(rng))
+
+
+@given(decomposition_inputs())
+@example(Z**6 + Z)
+@example(compose(2 * Z**2 + 3 * Z - 1, 3 * Z**3 + Fraction(1, 2) * Z + 2))
+@settings(max_examples=150, deadline=None)
+def test_right_factor_matches_definition(f):
+    n = f.degree
+    for m in range(1, n + 1):  # every divisor, the ends m = 1 and m = n included
+        if n % m == 0:
+            assert right_factor(f, m) == right_factor_oracle(f, m)
 
 
 def test_all_decompositions_composite_degree():

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import to_expr
 from ritt_lab.errors import BadParams
 from ritt_lab.polynomials import (
     AffineMap,
@@ -132,7 +134,34 @@ def test_conjugation_distributes_over_composition(p, q, lam):
     assert conjugate(compose(p, q), lam) == compose(conjugate(p, lam), conjugate(q, lam))
 
 
-@given(polys(min_degree=2), affine_maps())
+def _horner(p, q):
+    """p(q) by Horner's rule in the polynomial ring, one product per step."""
+    acc = ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * q + c
+    return acc
+
+
+_zs = sympy.Symbol("z")
+
+
+@given(polys(max_degree=24) | st.just(ZERO),
+       nonzero_fractions | st.sampled_from([Fraction(1), Fraction(-1), Fraction(-5, 7), Fraction(7, 3)]),
+       fractions | st.sampled_from([Fraction(0), Fraction(2, 3), Fraction(-9, 4)]))
+@example(ZERO, Fraction(3), Fraction(1))
+@example(Poly.constant(Fraction(-2, 3)), Fraction(5), Fraction(7))
+@example(Poly([1, 2, 3, 4]), Fraction(1), Fraction(0))
+@example(Poly([Fraction(1, 6), 0, Fraction(-3, 4), 0, 0, 2]), Fraction(-5, 7), Fraction(-1, 3))
+@settings(max_examples=150, deadline=None)
+def test_affine_compose_matches_horner_and_sympy(p, a, b):
+    q = Poly((b, a))
+    out = compose(p, q)
+    assert out == _horner(p, q)
+    sp, sq = (sympy.Poly(to_expr(x), _zs, domain="QQ") for x in (p, q))
+    assert sympy.Poly(to_expr(out), _zs, domain="QQ") == sp.compose(sq)
+
+
+@given(polys(max_degree=24), affine_maps())
 def test_conjugation_round_trip(p, lam):
     assert conjugate(conjugate(p, lam), lam.inverse()) == p
 
@@ -192,6 +221,31 @@ def test_rational_nth_root_round_trip(x, k):
     r = rational_nth_root(x**k, k)
     assert r is not None
     assert r**k == x**k
+
+
+def test_pow_matches_repeated_product():
+    p = Z - Fraction(3, 7)
+    acc = ONE
+    for k in range(34):
+        assert p**k == acc
+        acc = acc * p
+
+
+def test_pow_takes_j_products_for_two_to_the_j(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counting_mul)
+    p = Z - Fraction(3, 7)
+    for j in range(8):
+        products.clear()
+        out = p ** (2**j)
+        assert len(products) == j
+        assert out.degree == 2**j
 
 
 def test_composition_random_cross_check():

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from ritt_lab.io_cli import parse_poly
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -20,6 +22,8 @@ def test_script_runs(script):
 
 PRIME = 100000000000000000000000000319  # sympy.nextprime(10**29)
 PSI13 = 3317044064679887385961981
+H16 = "z^16 + 2*z^5 - 3*z^4 + 5/2*z^3 - z^2 + z"
+P256 = f"2*({H16})^16 + 3*({H16})^5 - 7/3*({H16})^2 + ({H16})"
 
 
 def _cli(*argv):
@@ -42,3 +46,10 @@ def test_cli_refuses_unprovable_prime():
     assert done.returncode == 1 and done.stdout == ""
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_decomposes_degree_256_composite():
+    done = _cli("decompose", P256)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)["result"]["decompositions"]
+    assert [parse_poly(d["right"]).degree for d in found] == [1, 16, 256]
