@@ -125,27 +125,29 @@ def left_compose_solve(u: Poly, b: Poly):
 
 def left_compose_solutions(u: Poly, b: Poly):
     """All rational x with u o x == b (0, 1 or 2 of them), or the
-    NO_RATIONAL_WITNESS marker."""
+    NO_RATIONAL_WITNESS marker.
+
+    A solution is x = lam o h with h the normalized right factor of b of
+    degree deg b / deg u and lam = t*z + s, t^(deg u) == lc(b) / lc(u):
+    u o lam must be the left factor g, whose z^(deg u - 1) coefficient
+    gives s.  As g o h == b exactly, u o lam == g is u o x == b.
+    """
     du, db = u.degree, b.degree
     if du < 1 or db < 1:
         raise BadDegree("both polynomials must be nonconstant")
     if db % du:
         raise BadDegree(f"deg {du} does not divide deg {db}")
-    dx = db // du
     t0 = rational_nth_root(b.lc / u.lc, du)
     if t0 is None:
         return NO_RATIONAL_WITNESS
-    cands = (t0,) if du % 2 else (t0, -t0)
+    dec = right_factor(b, db // du)
+    if dec is None:
+        return []
     out = []
-    for t in cands:
-        x = [Fraction(0)] * dx + [t]
-        denom = u.lc * du * t ** (du - 1)
-        for j in range(1, dx + 1):
-            partial = compose(u, Poly(x))
-            x[dx - j] = (b[db - j] - partial[db - j]) / denom
-        xp = Poly(x)
-        if compose(u, xp) == b:
-            out.append(xp)
+    for t in (t0,) if du % 2 else (t0, -t0):
+        s = (dec.left[du - 1] / t ** (du - 1) - u[du - 1]) / (du * u.lc)
+        if compose(u, Poly((s, t))) == dec.left:
+            out.append(t * dec.right + s)
     return out
 
 

@@ -3,8 +3,9 @@
 A polynomial of degree n >= 2 can always be conjugated by a translation so
 that its z^(n-1) coefficient vanishes; that representative is the centered
 form and it is unique.  Working centered reduces every affine-conjugacy
-question to a question about scalings z -> a*z, which turns into exact
-congruence conditions on the exponents and one algebraic condition on a.
+question to scalings z -> a*z, where each coefficient reads a^d == r:
+Euclid on the exponents folds these binomials into one a^g == c, so no
+polynomial gcd is ever taken.
 
 The special polynomials are the affine conjugates of z^n and of +-T_n
 (Chebyshev).  They are exactly the cases where symmetry groups blow up and
@@ -22,7 +23,6 @@ from .polynomials import (
     Poly,
     compose,
     conjugate,
-    gcd,
     rational_nth_root,
 )
 
@@ -52,8 +52,8 @@ class ChebyshevConjugate:
 
     witness is a rational lam with p == lam o (sign*T_n) o lam^{-1} when one
     exists over Q; witness is None when the conjugacy only exists over C
-    (certified by a nonconstant constraint gcd).  For even n the classes of
-    T_n and -T_n coincide and the sign is reported as +1.
+    (its scales a are the roots of one a^g == c, none rational).  For even
+    n the classes of T_n and -T_n coincide and the sign is reported as +1.
     """
 
     n: int
@@ -115,82 +115,63 @@ def monic_chebyshev(n: int) -> Poly:
 def is_conjugate_to_power(p: Poly) -> PowerConjugate | None:
     """Detect p == c*(z-b)^n + b exactly.
 
-    The candidate b is forced by the z^(n-1) coefficient, so this is a
-    single exact comparison, no search.
+    Since the centering translation is unique, this holds iff the centered
+    form is c*z^n, and then b = -shift.b: one centering, no search.
     """
     n = p.degree
     if n < 2:
         raise DegreeTooLow(f"special detection needs degree >= 2, got {n}")
-    c = p.lc
-    b = -p[n - 1] / (n * c)
-    if p == c * (Z - b) ** n + b:
-        return PowerConjugate(n=n, b=b)
-    return None
+    cf = center(p)
+    if cf.centered.support() != (n,):
+        return None
+    return PowerConjugate(n=n, b=-cf.shift.b)
 
 
-def _scaling_constraints(q: Poly, model: Poly, sign: int) -> list[Poly] | None:
-    """Constraint polynomials in a for q == (a z) o (sign*model) o (a z)^{-1}.
+def _binomial_system(pairs) -> tuple[int, Fraction] | None:
+    """Fold a^d == r over all pairs (d, r), r != 0, into one binomial.
 
-    Coefficientwise that conjugation reads q_k == sign * a^(1-k) * model_k,
-    i.e. q_k a^(k-1) == sign*model_k for k >= 1 and q_0 == sign*a*model_0.
-    Returns None if some constraint is already impossible over C.
+    Euclid on the exponents: a^d == r and a^e == s give
+    a^(d mod e) == r / s^(d div e); a^0 == r holds for all a if r == 1 and
+    for none otherwise.  Returns (g, c), g the gcd of the d, so that the
+    roots of z^g - c are the solutions ((0, 1): every a != 0), or None.
     """
-    out = []
-    for k in q.support():
-        if k == 0:
-            out.append(Poly((-q[0], sign * model[0])))
-            continue
-        c = Poly((-sign * model[k],) + (0,) * (k - 2) + (q[k],)) if k >= 2 else Poly((q[k] - sign * model[k],))
-        if c.degree < 1:
-            if c:
-                return None
-            continue
-        out.append(c)
-    return out
+    g, c = 0, Fraction(1)
+    for d, r in pairs:
+        while d:
+            (g, c), (d, r) = (d, r), (g % d, c / r ** (g // d))
+        if r != 1:
+            return None
+    return g, c
 
 
 def is_conjugate_to_chebyshev(p: Poly) -> ChebyshevConjugate | None:
     """Detect whether p is an affine conjugate of T_n or -T_n.
 
     Centering reduces the question to a pure scaling against the monic
-    centered model M_n = 2 T_n(z/2).  The scaling constraints are binomials
-    in a; a conjugacy over C exists iff their gcd is nonconstant, and a
-    rational witness exists iff that gcd has a rational root, which can only
-    come from the forced linear constraint (n even) or from a minimal
-    binomial root (n odd).
+    centered model M_n = 2 T_n(z/2), whose support is every exponent of the
+    parity of n.  Coefficientwise the scaling reads a^(k-1) == sign*M_k/q_k
+    (a == q_0/(sign*M_0) for k == 0); a conjugacy over C exists iff these
+    binomials fold into one a^g == c, and a rational witness iff that has a
+    rational root.
     """
     n = p.degree
     if n < 2:
         raise DegreeTooLow(f"special detection needs degree >= 2, got {n}")
     cf = center(p)
     q = cf.centered
-    model = monic_chebyshev(n)
-    if q.support() != model.support():
+    if q.support() != tuple(range(n % 2, n + 1, 2)):
         return None
+    model = monic_chebyshev(n)
     for sign in (1, -1):
-        cons = _scaling_constraints(q, model, sign)
-        if cons is None:
+        sol = _binomial_system((k - 1, sign * model[k] / q[k]) if k else (1, q[0] / (sign * model[0]))
+                               for k in q.support())
+        if sol is None:
             continue
-        g = cons[0]
-        for c in cons[1:]:
-            g = gcd(g, c)
-        if g.degree < 1:
-            continue
-        candidates = []
-        linear = [c for c in cons if c.degree == 1]
-        if linear:
-            candidates.append(-linear[0][0] / linear[0][1])
-        else:
-            small = min((c for c in cons if c.degree >= 2), key=lambda c: c.degree)
-            root = rational_nth_root(-small[0] / small.lc, small.degree)
-            if root is not None:
-                candidates.extend([root, -root])
+        a = rational_nth_root(sol[1], sol[0])
         witness = None
-        for a in candidates:
-            if a != 0 and all(c(a) == 0 for c in cons):
-                witness = AffineMap(2 * a, -cf.shift.b)
-                assert conjugate(sign * chebyshev(n), witness) == p
-                break
+        if a is not None:
+            witness = AffineMap(2 * a, -cf.shift.b)
+            assert conjugate(sign * chebyshev(n), witness) == p
         return ChebyshevConjugate(n=n, sign=sign, witness=witness)
     return None
 
@@ -210,10 +191,10 @@ def is_special(p: Poly) -> SpecialKind:
 class Equivalence:
     """Outcome of a linear-equivalence test p == sigma o q o nu.
 
-    sigma/nu form a rational witness when present.  When the equivalence
-    only holds over C, they are None and constraint is the nonconstant gcd
-    of the scaling constraints (no rational root), which certifies the
-    complex solution.
+    sigma/nu form a rational witness when present.  constraint is the monic
+    z^g - c whose roots are the inner scales that work (None when all do);
+    without a rational root it certifies an equivalence over C only, and
+    sigma/nu are None.
     """
 
     sigma: AffineMap | None
@@ -227,21 +208,20 @@ class Equivalence:
 
 def _translation_reduce(f: Poly) -> tuple[Poly, AffineMap, AffineMap]:
     """Write f = tau o F o rho^{-1} with F centered and F(0) == 0."""
-    n = f.degree
-    u = -f[n - 1] / (n * f.lc)
-    g = compose(f, Z + u)
-    c0 = g[0]
-    return g - c0, AffineMap(1, c0), AffineMap(1, u)
+    cf = center(f)
+    c0 = cf.centered[0]
+    rho = cf.shift.inverse()
+    return cf.centered - c0, AffineMap(1, c0).compose(rho), rho
 
 
 def linear_equivalence(p: Poly, q: Poly) -> Equivalence | None:
     """Decide over C whether p == sigma o q o nu for affine sigma, nu.
 
     Both sides are first reduced by translations to centered, constant-free
-    representatives; what remains is a pure two-scaling problem whose
-    solvability is a support match plus binomial constraints on the inner
-    scale t.  A rational root of the constraints yields an explicit witness;
-    a nonconstant constraint gcd without rational roots certifies an
+    pp and qq, leaving pp(z) == s*qq(t*z): s is forced by the leading
+    coefficients and every other exponent k reads
+    t^(n-k) == pp_n*qq_k / (qq_n*pp_k).  A rational root t of the folded
+    binomial yields an explicit witness; otherwise the binomial certifies an
     equivalence that needs irrational scales.
     """
     n = p.degree
@@ -253,32 +233,16 @@ def linear_equivalence(p: Poly, q: Poly) -> Equivalence | None:
     qq, tau_q, rho_q = _translation_reduce(q)
     if pp.support() != qq.support():
         return None
-    others = [k for k in pp.support() if k != n]
-    g = None
-    if not others:
-        t1 = Fraction(1)
-    else:
-        cons = []
-        for k in others:
-            cons.append(Poly((-pp.lc * qq[k],) + (0,) * (n - k - 1) + (qq.lc * pp[k],)))
-        g = cons[0]
-        for c in cons[1:]:
-            g = gcd(g, c)
-        if g.degree < 1:
-            return None
-        k_max = max(others)
-        small = next(c for c in cons if c.degree == n - k_max)
-        root = rational_nth_root(-small[0] / small.lc, small.degree)
-        t1 = None
-        if root is not None:
-            for cand in (root, -root):
-                if cand != 0 and all(c(cand) == 0 for c in cons):
-                    t1 = cand
-                    break
-        if t1 is None:
-            return Equivalence(sigma=None, nu=None, constraint=g)
+    sol = _binomial_system((n - k, pp.lc * qq[k] / (qq.lc * pp[k])) for k in pp.support()[:-1])
+    if sol is None:
+        return None
+    g, c = sol
+    constraint = Poly.monomial(g) - c if g else None
+    t1 = rational_nth_root(c, g) if g else Fraction(1)
+    if t1 is None:
+        return Equivalence(sigma=None, nu=None, constraint=constraint)
     s1 = pp.lc / (t1**n * qq.lc)
     sigma = tau_p.compose(AffineMap(s1)).compose(tau_q.inverse())
     nu = rho_q.compose(AffineMap(t1)).compose(rho_p.inverse())
     assert sigma.a * compose(q, nu.as_poly()) + sigma.b == p
-    return Equivalence(sigma=sigma, nu=nu, constraint=g)
+    return Equivalence(sigma=sigma, nu=nu, constraint=constraint)

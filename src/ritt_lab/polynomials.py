@@ -295,13 +295,6 @@ def conjugate(p: Poly, lam: AffineMap) -> Poly:
     return lam.a * inner + Poly((lam.b,))
 
 
-def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    while g:
-        f, g = g, f % g
-    return f.monic() if f else f
-
-
 def int_nth_root(n: int, k: int):
     """Exact integer k-th root of n >= 0, or None if n is not a k-th power."""
     if n < 0 or k < 1:

@@ -13,8 +13,8 @@ from fractions import Fraction
 import sympy
 from sympy import Rational, Symbol, cyclotomic_poly, resultant, totient
 
-from ritt_lab.decompose import Decomposition
-from ritt_lab.polynomials import AffineMap, Poly
+from ritt_lab.decompose import NO_RATIONAL_WITNESS, Decomposition
+from ritt_lab.polynomials import AffineMap, Poly, compose, rational_nth_root
 from ritt_lab.semigroup import folner_window, semidirect_mul
 
 _z = Symbol("z")
@@ -199,6 +199,36 @@ def right_factor_oracle(f: Poly, m: int) -> Decomposition | None:
         return None
     g = Poly([d[0] for d in digits])
     return Decomposition(left=g, right=hp)
+
+
+def left_compose_oracle(u: Poly, b: Poly):
+    """left_compose_solutions by its definition: for each rational leading
+    coefficient t, solve the top coefficients of u o x == b for x one at a
+    time, composing once per unknown, then keep x when u o x == b."""
+    du, db = u.degree, b.degree
+    dx = db // du
+    t0 = rational_nth_root(b.lc / u.lc, du)
+    if t0 is None:
+        return NO_RATIONAL_WITNESS
+    cands = (t0,) if du % 2 else (t0, -t0)
+    out = []
+    for t in cands:
+        x = [Fraction(0)] * dx + [t]
+        denom = u.lc * du * t ** (du - 1)
+        for j in range(1, dx + 1):
+            partial = compose(u, Poly(x))
+            x[dx - j] = (b[db - j] - partial[db - j]) / denom
+        xp = Poly(x)
+        if compose(u, xp) == b:
+            out.append(xp)
+    return out
+
+
+def gcd(f: Poly, g: Poly) -> Poly:
+    """Monic greatest common divisor by the dense Euclidean algorithm."""
+    while g:
+        f, g = g, f % g
+    return f.monic() if f else f
 
 
 def rand_fraction(rng, lo=-5, hi=5, dmax=5) -> Fraction:

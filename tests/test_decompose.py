@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import indecomposable_oracle, rand_affine, rand_poly, right_factor_oracle
+from oracles import indecomposable_oracle, left_compose_oracle, rand_affine, rand_fraction, rand_poly, right_factor_oracle
 from ritt_lab.decompose import (
     NO_RATIONAL_WITNESS,
     all_decompositions,
@@ -146,6 +146,36 @@ def test_left_compose_no_rational_witness():
 def test_left_compose_none_when_inconsistent():
     # degree works, leading coefficient works, but no exact solution
     assert left_compose_solve(Z**2, Z**4 + Z) is None
+
+
+@st.composite
+def left_compose_inputs(draw):
+    """(u, b) with deg u, deg b / deg u <= 5: true composites u o x, ones
+    perturbed below the top, ones whose lc(b) / lc(u) has no rational
+    (deg u)-th root, and u = v((z - s)^2), which is solved by x and 2s - x."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["composite", "perturbed", "no_root", "sign_pair"]))
+    du, dx = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if kind == "sign_pair":
+        du = 2 * draw(st.integers(1, 2))
+        u = compose(rand_poly(rng, du // 2), (Z - rand_fraction(rng)) ** 2)
+    else:
+        u = rand_poly(rng, du)
+    b = compose(u, rand_poly(rng, dx))
+    if kind == "perturbed":
+        b = b + Poly.monomial(rng.randrange(du * dx), rng.choice([1, -1, Fraction(1, 3)]))
+    elif kind == "no_root":
+        b = rng.choice([2, 3, Fraction(5, 7)]) * b
+    return u, b
+
+
+@given(left_compose_inputs())
+@example((Z**2, compose(Z**2, Z**2 + 1)))
+@example((Z**2, 2 * Z**4))
+@settings(max_examples=150, deadline=None)
+def test_left_compose_matches_definition(case):
+    u, b = case
+    assert left_compose_solutions(u, b) == left_compose_oracle(u, b)
 
 
 def test_left_compose_degree_errors():

@@ -2,15 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conjugacy_exists, rand_affine, rand_poly
+from oracles import conjugacy_exists, gcd, rand_affine, rand_poly
 from ritt_lab.errors import BadParams, DegreeTooLow
 from ritt_lab.forms import (
     ChebyshevConjugate,
     NotSpecial,
     PowerConjugate,
+    _binomial_system,
     center,
     chebyshev,
     is_conjugate_to_chebyshev,
@@ -104,6 +105,26 @@ def test_power_detection():
     assert is_conjugate_to_power(c) == PowerConjugate(3, Fraction(2))
 
 
+@st.composite
+def power_inputs(draw):
+    """Random maps, and conjugates of c*z^n (b != 0 almost always)."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return rand_poly(rng, n)
+    return conjugate(rand_poly(rng, 0) * Z**n, rand_affine(rng))
+
+
+@given(power_inputs())
+@example(2 * (Z - Fraction(1, 2)) ** 12 + Fraction(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_power_detection_matches_definition(p):
+    n, c = p.degree, p.lc
+    b = -p[n - 1] / (n * c)
+    expected = PowerConjugate(n, b) if p == c * (Z - b) ** n + b else None
+    assert is_conjugate_to_power(p) == expected
+
+
 def test_chebyshev_detection_direct():
     for n in range(2, 7):
         found = is_conjugate_to_chebyshev(chebyshev(n))
@@ -122,6 +143,19 @@ def test_chebyshev_detection_negative_sign():
         found = is_conjugate_to_chebyshev(-chebyshev(n))
         assert found is not None and found.sign == 1
         assert conjugate(chebyshev(n), found.witness) == -chebyshev(n)
+
+
+def test_chebyshev_detection_complex_only_witness():
+    # for odd n, (a z) o (sign*M_n) o (z / a) has the coefficients
+    # sign*M_k*(a^2)^((1-k)/2): rational, yet a is not
+    for n in (3, 5, 7, 9):
+        m = monic_chebyshev(n)
+        for sign in (1, -1):
+            for a2 in (Fraction(2), Fraction(3), Fraction(5, 3)):
+                p = Poly([sign * m[k] * a2 ** ((1 - k) // 2) for k in range(n + 1)])
+                assert is_conjugate_to_chebyshev(p) == ChebyshevConjugate(n=n, sign=sign, witness=None)
+                assert conjugacy_exists(p, sign * chebyshev(n))
+                assert not conjugacy_exists(p, -sign * chebyshev(n))
 
 
 def test_chebyshev_detection_rejects():
@@ -177,6 +211,9 @@ def test_linear_equivalence_identity_case():
     e = linear_equivalence(p, p)
     assert e is not None and e.rational
     assert e.sigma.a * compose(p, e.nu.as_poly()) + e.sigma.b == p
+    # a single scaling constraint, t^6 == 1, is reported monic like a gcd
+    p = -Z**7 - Fraction(1, 2) * Z - Fraction(1, 2)
+    assert linear_equivalence(p, p).constraint == Z**6 - 1
 
 
 def test_linear_equivalence_complex_only_witness():
@@ -185,6 +222,9 @@ def test_linear_equivalence_complex_only_witness():
     assert not e.rational
     assert e.sigma is None and e.nu is None
     assert e.constraint == Z**2 + Fraction(1, 3)
+    e = linear_equivalence(Z**3 + Z, Z**3 + 3 * Z)  # one binomial, t^2 == 3
+    assert e is not None and not e.rational
+    assert e.constraint == Z**2 - 3
 
 
 def test_linear_equivalence_none_cases():
@@ -202,6 +242,38 @@ def test_linear_equivalence_rejects_low_degree():
 def test_linear_equivalence_reflexive(p):
     e = linear_equivalence(p, p)
     assert e is not None
+    assert e.constraint is None or e.constraint.lc == 1
+
+
+ratios = st.builds(lambda r, e, sign: sign * r**e, nonzero_fractions, st.integers(1, 4), st.sampled_from([1, -1]))
+
+
+@st.composite
+def binomial_systems(draw):
+    """1-5 pairs (d, r), d in 0..12; r a power of a shared root or a
+    random +-(p/q)^e, so both solvable and empty systems are common."""
+    root = draw(nonzero_fractions)
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(0, 12))
+        pairs.append((d, root**d if draw(st.booleans()) else draw(ratios)))
+    return pairs
+
+
+@given(binomial_systems())
+@example([(0, Fraction(1))])
+@example([(0, Fraction(2)), (3, Fraction(8))])
+@example([(3, Fraction(-8)), (2, Fraction(4))])
+@settings(max_examples=300, deadline=None)
+def test_binomial_system_matches_gcd(pairs):
+    g = Poly()
+    for d, r in pairs:
+        g = gcd(g, Poly.monomial(d) - r)
+    sol = _binomial_system(pairs)
+    if g.degree == 0:
+        assert sol is None
+    else:
+        assert Poly.monomial(sol[0]) - sol[1] == g
 
 
 @given(polys(max_degree=4))

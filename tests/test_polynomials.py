@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import to_expr
+from oracles import gcd, to_expr
 from ritt_lab.errors import BadParams
 from ritt_lab.polynomials import (
     AffineMap,
@@ -17,7 +17,6 @@ from ritt_lab.polynomials import (
     compose,
     conjugate,
     evaluate,
-    gcd,
     int_nth_root,
     iterate,
     rational_nth_root,
