@@ -7,6 +7,7 @@ honest Unknowns when the search bounds are exhausted.
 """
 
 import argparse
+from dataclasses import fields, replace
 
 from ritt_lab.forms import chebyshev
 from ritt_lab.polynomials import Z, iterate
@@ -39,11 +40,11 @@ def headline(side):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tmax", type=int, default=6)
-    ap.add_argument("--lmax", type=int, default=6)
-    ap.add_argument("--wordmax", type=int, default=8)
+    names = [f.name for f in fields(SearchBounds)]
+    for name in names:
+        ap.add_argument(f"--{name}", type=int, help=f"default {getattr(SearchBounds(), name)}")
     args = ap.parse_args()
-    bounds = SearchBounds(args.tmax, args.lmax, args.wordmax)
+    bounds = replace(SearchBounds(), **{k: v for k in names if (v := getattr(args, k)) is not None})
 
     for name, gens in GALLERY:
         v = classify(gens, bounds)

@@ -112,19 +112,24 @@ def monic_chebyshev(n: int) -> Poly:
     return b
 
 
+def _detection_frame(p: Poly) -> CenteredForm:
+    if p.degree < 2:
+        raise DegreeTooLow(f"special detection needs degree >= 2, got {p.degree}")
+    return center(p)
+
+
+def _read_power(cf: CenteredForm) -> PowerConjugate | None:
+    n = cf.centered.degree
+    return PowerConjugate(n=n, b=-cf.shift.b) if cf.centered.support() == (n,) else None
+
+
 def is_conjugate_to_power(p: Poly) -> PowerConjugate | None:
     """Detect p == c*(z-b)^n + b exactly.
 
     Since the centering translation is unique, this holds iff the centered
     form is c*z^n, and then b = -shift.b: one centering, no search.
     """
-    n = p.degree
-    if n < 2:
-        raise DegreeTooLow(f"special detection needs degree >= 2, got {n}")
-    cf = center(p)
-    if cf.centered.support() != (n,):
-        return None
-    return PowerConjugate(n=n, b=-cf.shift.b)
+    return _read_power(_detection_frame(p))
 
 
 def _binomial_system(pairs) -> tuple[int, Fraction] | None:
@@ -144,21 +149,8 @@ def _binomial_system(pairs) -> tuple[int, Fraction] | None:
     return g, c
 
 
-def is_conjugate_to_chebyshev(p: Poly) -> ChebyshevConjugate | None:
-    """Detect whether p is an affine conjugate of T_n or -T_n.
-
-    Centering reduces the question to a pure scaling against the monic
-    centered model M_n = 2 T_n(z/2), whose support is every exponent of the
-    parity of n.  Coefficientwise the scaling reads a^(k-1) == sign*M_k/q_k
-    (a == q_0/(sign*M_0) for k == 0); a conjugacy over C exists iff these
-    binomials fold into one a^g == c, and a rational witness iff that has a
-    rational root.
-    """
-    n = p.degree
-    if n < 2:
-        raise DegreeTooLow(f"special detection needs degree >= 2, got {n}")
-    cf = center(p)
-    q = cf.centered
+def _read_chebyshev(p: Poly, cf: CenteredForm) -> ChebyshevConjugate | None:
+    n, q = p.degree, cf.centered
     if q.support() != tuple(range(n % 2, n + 1, 2)):
         return None
     model = monic_chebyshev(n)
@@ -176,15 +168,24 @@ def is_conjugate_to_chebyshev(p: Poly) -> ChebyshevConjugate | None:
     return None
 
 
+def is_conjugate_to_chebyshev(p: Poly) -> ChebyshevConjugate | None:
+    """Detect whether p is an affine conjugate of T_n or -T_n.
+
+    Centering reduces the question to a pure scaling against the monic
+    centered model M_n = 2 T_n(z/2), whose support is every exponent of the
+    parity of n.  Coefficientwise the scaling reads a^(k-1) == sign*M_k/q_k
+    (a == q_0/(sign*M_0) for k == 0); a conjugacy over C exists iff these
+    binomials fold into one a^g == c, and a rational witness iff that has a
+    rational root.
+    """
+    return _read_chebyshev(p, _detection_frame(p))
+
+
 def is_special(p: Poly) -> SpecialKind:
-    """Classify p as a power conjugate, a Chebyshev conjugate, or neither."""
-    hit = is_conjugate_to_power(p)
-    if hit is not None:
-        return hit
-    cheb = is_conjugate_to_chebyshev(p)
-    if cheb is not None:
-        return cheb
-    return NotSpecial()
+    """Classify p as a power conjugate, a Chebyshev conjugate, or neither,
+    reading both off one centered form."""
+    cf = _detection_frame(p)
+    return _read_power(cf) or _read_chebyshev(p, cf) or NotSpecial()
 
 
 @dataclass(frozen=True)

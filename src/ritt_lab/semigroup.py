@@ -43,7 +43,7 @@ from .errors import (
     InfiniteGroup,
     NotRational,
 )
-from .forms import CenteredForm, NotSpecial, is_special
+from .forms import NotSpecial, is_special
 from .polynomials import Poly, Z, compose, iterate
 from .symmetry import g_group
 
@@ -273,10 +273,9 @@ def _factor(n: int) -> dict[int, int]:
 
 def _prime_exponents(r: Fraction) -> dict[int, int]:
     """Signed prime exponent vector of a nonzero rational."""
-    out = dict(_factor(abs(r.numerator))) if abs(r.numerator) > 1 else {}
-    if r.denominator > 1:
-        for p, e in _factor(r.denominator).items():
-            out[p] = out.get(p, 0) - e
+    out = _factor(abs(r.numerator))
+    for p, e in _factor(r.denominator).items():
+        out[p] = out.get(p, 0) - e
     return out
 
 
@@ -317,20 +316,15 @@ def _apply_iter(p: Poly, k: int, x: Fraction) -> Fraction:
     return x
 
 
-def _sign_parities(A: Poly, B: Poly, k0: int, l0: int) -> list[int]:
-    """Parities of t for which the iterate leading coefficients can agree
-    in sign.  lc(A^k) = lc(A)^e with e = (n^k - 1)/(n - 1); e is odd for
-    every k when n is even, and has the parity of k when n is odd."""
-    n, m = A.degree, B.degree
-    sa = 1 if A.lc > 0 else -1
-    sb = 1 if B.lc > 0 else -1
-    out = []
-    for tp in (0, 1):
-        e_odd = 1 if n % 2 == 0 else (k0 * tp) % 2
-        f_odd = 1 if m % 2 == 0 else (l0 * tp) % 2
-        if (sa if e_odd else 1) == (sb if f_odd else 1):
-            out.append(tp)
-    return out
+def _signs_can_agree(A: Poly, B: Poly, k0: int, l0: int) -> bool:
+    """Whether lc(A^(k0 t)) and lc(B^(l0 t)) share a sign for some t.
+    lc(A^k) = lc(A)^e with e = (n^k - 1)/(n - 1); e is odd for every k when
+    n is even, and has the parity of k when n is odd, so t = 1, 2 cover all t."""
+
+    def negative(p: Poly, k: int) -> bool:
+        return p.lc < 0 and (p.degree % 2 == 0 or k % 2 == 1)
+
+    return any(negative(A, k0 * t) == negative(B, l0 * t) for t in (1, 2))
 
 
 def _lc_obstruction(A: Poly, B: Poly, k0: int, l0: int) -> LeadingCoeffObstruction | None:
@@ -353,11 +347,31 @@ def _lc_obstruction(A: Poly, B: Poly, k0: int, l0: int) -> LeadingCoeffObstructi
                 return LeadingCoeffObstruction(
                     n=n, m=m, k0=k0, l0=l0, lc_a=A.lc, lc_b=B.lc, reason="prime", prime=pr
                 )
-    if not _sign_parities(A, B, k0, l0):
+    if not _signs_can_agree(A, B, k0, l0):
         return LeadingCoeffObstruction(
             n=n, m=m, k0=k0, l0=l0, lc_a=A.lc, lc_b=B.lc, reason="sign", prime=None
         )
     return None
+
+
+def _grid_search(relation: type[CommonIterate] | type[TwistedPair], A: Poly, B: Poly,
+                 bounds: SearchBounds, what: str) -> Outcome:
+    """Walk the degree grid (k, l) = (k0 t, l0 t), t = 1..bounds.tmax, for
+    the first point where the relation holds.  Independent degrees refute
+    both relations; the leading coefficients refute only a common iterate."""
+    if A.degree < 2 or B.degree < 2:
+        raise DegreeTooLow(f"{what} needs degrees >= 2")
+    grid = _iterate_grid(A, B)
+    if grid is None:
+        return Outcome(NO, DegreeObstruction(A.degree, B.degree))
+    k0, l0 = grid
+    if relation is CommonIterate and (obstruction := _lc_obstruction(A, B, k0, l0)) is not None:
+        return Outcome(NO, obstruction)
+    for t in range(1, bounds.tmax + 1):
+        cert = relation(k=k0 * t, l=l0 * t)
+        if _relation_holds(cert, A, B):
+            return Outcome(YES, cert)
+    return Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
 def common_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Outcome:
@@ -365,25 +379,10 @@ def common_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> O
     coefficients when possible.
 
     Any solution must sit on the grid (k, l) = (k0 t, l0 t), t >= 1, so the
-    search walks t up to bounds.tmax, skipping t whose parity already fails
-    the sign analysis, prefiltering by evaluation at sample points, and
-    confirming candidates by exact composition.
+    search walks t up to bounds.tmax, prefiltering by evaluation at sample
+    points and confirming candidates by exact composition.
     """
-    if A.degree < 2 or B.degree < 2:
-        raise DegreeTooLow("common iterate search needs degrees >= 2")
-    grid = _iterate_grid(A, B)
-    if grid is None:
-        return Outcome(NO, DegreeObstruction(A.degree, B.degree))
-    k0, l0 = grid
-    obstruction = _lc_obstruction(A, B, k0, l0)
-    if obstruction is not None:
-        return Outcome(NO, obstruction)
-    parities = _sign_parities(A, B, k0, l0)
-    for t in range(1, bounds.tmax + 1):
-        cert = CommonIterate(k=k0 * t, l=l0 * t)
-        if t % 2 in parities and _relation_holds(cert, A, B):
-            return Outcome(YES, cert)
-    return Outcome(UNKNOWN, BoundExhausted(bounds))
+    return _grid_search(CommonIterate, A, B, bounds, "common iterate search")
 
 
 def _twisted_companion(P: Poly, Q: Poly) -> bool:
@@ -435,17 +434,7 @@ def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Out
     prefilter (B^l - B^l(x0) == +-(A^k - A^k(x0)) at the sample points, one
     sign) comes before the exact check on the affine companion.
     """
-    if A.degree < 2 or B.degree < 2:
-        raise DegreeTooLow("twisted relation search needs degrees >= 2")
-    grid = _iterate_grid(A, B)
-    if grid is None:
-        return Outcome(NO, DegreeObstruction(A.degree, B.degree))
-    k0, l0 = grid
-    for t in range(1, bounds.tmax + 1):
-        cert = TwistedPair(k=k0 * t, l=l0 * t)
-        if _relation_holds(cert, A, B):
-            return Outcome(YES, cert)
-    return Outcome(UNKNOWN, BoundExhausted(bounds))
+    return _grid_search(TwistedPair, A, B, bounds, "twisted relation search")
 
 
 def commutes_with_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> int | None:
@@ -503,37 +492,23 @@ def free_collision_search(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds(
     return None
 
 
-def _aggregate(findings: list[Finding]) -> str:
-    statuses = [f.outcome.status for f in findings]
-    if NO in statuses:
-        return NO
-    if UNKNOWN in statuses:
-        return UNKNOWN
-    return YES
+def _aggregate(statuses) -> str:
+    """No if any status is No, else Unknown if any is Unknown, else Yes."""
+    return NO if NO in statuses else UNKNOWN if UNKNOWN in statuses else YES
 
 
 def _classify_all_special(gens: list[Poly], bounds: SearchBounds) -> Verdict:
-    notes = [NOTE_ALL_SPECIAL]
-    commuting = True
     findings: list[Finding] = []
     for i, j in itertools.combinations_with_replacement(range(len(gens)), 2):
         gi, gj = gens[i], gens[j]
         if not _relation_holds(CommutesWithIterate(l=1), gi, gj):
-            commuting = False
-            findings.append(Finding(f"g{i}|g{j}", Outcome(UNKNOWN, None)))
-            continue
-        out = common_iterate(gi, gj, bounds)
-        if out.status != YES:
+            out = Outcome(UNKNOWN, None)
+        elif (out := common_iterate(gi, gj, bounds)).status != YES:
             out = Outcome(YES, CommutesWithIterate(l=1))
         findings.append(Finding(f"g{i}|g{j}", out))
-    if commuting:
-        notes.append(NOTE_ABELIAN)
-        notes.append(NOTE_DAY)
-        side = SideVerdict(YES, tuple(findings))
-        return Verdict(side, side, YES, tuple(notes))
-    notes.append(NOTE_SPECIAL_UNDECIDED)
-    side = SideVerdict(UNKNOWN, tuple(findings))
-    return Verdict(side, side, UNKNOWN, tuple(notes))
+    side = SideVerdict(_aggregate([f.outcome.status for f in findings]), tuple(findings))
+    notes = (NOTE_ABELIAN, NOTE_DAY) if side.status == YES else (NOTE_SPECIAL_UNDECIDED,)
+    return Verdict(side, side, side.status, (NOTE_ALL_SPECIAL, *notes))
 
 
 def classify(gens: list[Poly], bounds: SearchBounds = SearchBounds()) -> Verdict:
@@ -578,17 +553,11 @@ def classify(gens: list[Poly], bounds: SearchBounds = SearchBounds()) -> Verdict
         right_findings.append(Finding(subject, twisted_pair(q, pivot, bounds)))
     if upgraded:
         notes.append(NOTE_COMMUTE_UPGRADE)
-    left = SideVerdict(_aggregate(left_findings), tuple(left_findings))
-    right = SideVerdict(_aggregate(right_findings), tuple(right_findings))
+    left, right = (SideVerdict(_aggregate([f.outcome.status for f in fs]), tuple(fs))
+                   for fs in (left_findings, right_findings))
     if right.status == NO:
         notes.append(NOTE_FREE)
-    if left.status == YES and right.status == YES:
-        amen = YES
-    elif NO in (left.status, right.status):
-        amen = NO
-    else:
-        amen = UNKNOWN
-    return Verdict(left, right, amen, tuple(notes))
+    return Verdict(left, right, _aggregate((left.status, right.status)), tuple(notes))
 
 
 def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
@@ -596,19 +565,16 @@ def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
 
     A relation certificate goes through the check its search uses: refuted
     at the first failing sample point or decided by exact composition.
-    Obstructions are derived again from A and B and compared field by field.
+    An obstruction is derived again from A and B by the code the searches
+    refute with and compared field by field; a degree below 2 raises
+    BadParams.
     """
     if isinstance(cert, (CommonIterate, TwistedPair, CommutesWithIterate)):
         return _relation_holds(cert, A, B)
-    if isinstance(cert, DegreeObstruction):
-        return (
-            cert.n == A.degree
-            and cert.m == B.degree
-            and multiplicatively_dependent(cert.n, cert.m) is None
-        )
-    if isinstance(cert, LeadingCoeffObstruction):
+    if isinstance(cert, (DegreeObstruction, LeadingCoeffObstruction)):
         grid = _iterate_grid(A, B)
-        return grid is not None and _lc_obstruction(A, B, *grid) == cert
+        derived = DegreeObstruction(A.degree, B.degree) if grid is None else _lc_obstruction(A, B, *grid)
+        return cert == derived
     if isinstance(cert, BoundExhausted):
         return True
     raise BadParams(f"unknown certificate type: {type(cert).__name__}")
@@ -642,7 +608,6 @@ class SemidirectContext:
     d: int
     twist: int
     ell: int
-    frame: CenteredForm | None = None
     base: Poly | None = None
 
 
@@ -675,9 +640,7 @@ def semidirect_context(rpoly: Poly, d: int) -> SemidirectContext:
             "subgroup action is not realizable: companion rotations are "
             "centered away from the origin"
         )
-    return SemidirectContext(
-        d=d, twist=tw.twist, ell=tw.order, frame=tw.frame, base=tw.frame.centered
-    )
+    return SemidirectContext(d=d, twist=tw.twist, ell=tw.order, base=tw.frame.centered)
 
 
 def _check_element(ctx: SemidirectContext, x: SemidirectElement) -> None:

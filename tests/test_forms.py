@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import conjugacy_exists, gcd, rand_affine, rand_poly
+from ritt_lab import forms
 from ritt_lab.errors import BadParams, DegreeTooLow
 from ritt_lab.forms import (
     ChebyshevConjugate,
@@ -170,6 +171,23 @@ def test_special_dispatch():
     sp = is_special(chebyshev(5))
     assert isinstance(sp, ChebyshevConjugate)
     assert is_special(Z**3 + Z) == NotSpecial()
+
+
+def test_special_centers_once(monkeypatch):
+    # the power and Chebyshev readers share one centered form
+    real = forms.center
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(forms, "center", spy)
+    p = Z**3 + Z**2 + 1
+    assert is_special(p) == NotSpecial()
+    assert calls == [p]
+    with pytest.raises(DegreeTooLow, match="special detection"):
+        is_special(Z + 1)
 
 
 def test_special_random_conjugates_with_witness_check():

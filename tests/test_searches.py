@@ -1,5 +1,6 @@
 """The common-iterate and commutation searches against a plain walk of the
-same grid that decides each step by exact composition alone."""
+same grid that decides each step by exact composition alone; every
+certificate a search returns must verify."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ritt_lab.semigroup import (
     SearchBounds,
     common_iterate,
     commutes_with_iterate,
+    verify_certificate,
 )
 
 MAX_N = 16  # largest iterate degree either walk builds
@@ -59,19 +61,21 @@ def test_common_iterate_matches_exact_walk(pair):
     n, m = a.degree, b.degree
     grid = next(((k, l) for k in range(1, 5) for l in range(1, 5) if n**k == m**l), None)
     if grid is None:
-        assert common_iterate(a, b) == Outcome(NO, DegreeObstruction(n, m))
-        return
-    k0, l0 = grid
-    bounds = SearchBounds(tmax=max(t for t in range(1, 5) if n ** (k0 * t) <= MAX_N))
-    hit = next((CommonIterate(k0 * t, l0 * t) for t in range(1, bounds.tmax + 1)
-                if iterate(a, k0 * t) == iterate(b, l0 * t)), None)
-    out = common_iterate(a, b, bounds)
-    if hit is not None:
-        assert out == Outcome(YES, hit)
-    elif out.status == NO:
-        assert isinstance(out.certificate, LeadingCoeffObstruction)
+        out = common_iterate(a, b)
+        assert out == Outcome(NO, DegreeObstruction(n, m))
     else:
-        assert out == Outcome(UNKNOWN, BoundExhausted(bounds))
+        k0, l0 = grid
+        bounds = SearchBounds(tmax=max(t for t in range(1, 5) if n ** (k0 * t) <= MAX_N))
+        hit = next((CommonIterate(k0 * t, l0 * t) for t in range(1, bounds.tmax + 1)
+                    if iterate(a, k0 * t) == iterate(b, l0 * t)), None)
+        out = common_iterate(a, b, bounds)
+        if hit is not None:
+            assert out == Outcome(YES, hit)
+        elif out.status == NO:
+            assert isinstance(out.certificate, LeadingCoeffObstruction)
+        else:
+            assert out == Outcome(UNKNOWN, BoundExhausted(bounds))
+    assert verify_certificate(out.certificate, a, b)
 
 
 @settings(max_examples=80, deadline=None)

@@ -217,6 +217,13 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_certificate(CommutesWithIterate(1), Z**2 + 1, Z**2 + 2)
     good = common_iterate(-P4, P4, B).certificate
     assert not verify_certificate(good, -Z**3, Z**3)  # wrong pair
+    assert verify_certificate(DegreeObstruction(2, 3), Z**2 + 1, Z**3 + 1)
+    assert not verify_certificate(DegreeObstruction(3, 2), Z**2 + 1, Z**3 + 1)  # fields swapped
+    assert not verify_certificate(DegreeObstruction(2, 2), 2 * Z**2, Z**2)  # refuted by lc, not degrees
+    assert not verify_certificate(lc, Z**2 + 1, Z**3 + 1)  # refuted by degrees, not lc
+    for cert in (DegreeObstruction(5, 5), DegreeObstruction(1, 2), lc):
+        with pytest.raises(BadParams):  # obstructions are derived only for degrees >= 2
+            verify_certificate(cert, Z, Z**2)
     with pytest.raises(BadParams):
         verify_certificate("certificate", Z**2, Z**2)
 

@@ -37,20 +37,24 @@ def polys(draw, min_degree, max_degree=4):
 
 def check_search(a, b):
     """twisted_pair agrees with the first grid point the oracle accepts, at
-    the largest tmax that keeps every iterate at degree <= MAX_N."""
+    the largest tmax that keeps every iterate at degree <= MAX_N, and its
+    certificate verifies."""
     n, m = a.degree, b.degree
     grid = next(((k, l) for k in range(1, 5) for l in range(1, 5) if n**k == m**l), None)
     if grid is None:
-        assert twisted_pair(a, b) == Outcome(NO, DegreeObstruction(n, m))
-        return
-    k0, l0 = grid
-    bounds = SearchBounds(tmax=max(t for t in range(1, 5) if n ** (k0 * t) <= MAX_N))
-    want = Outcome(UNKNOWN, BoundExhausted(bounds))
-    for t in range(1, bounds.tmax + 1):
-        if twisted_relations_oracle(a, b, k0 * t, l0 * t):
-            want = Outcome(YES, TwistedPair(k0 * t, l0 * t))
-            break
-    assert twisted_pair(a, b, bounds) == want
+        out = twisted_pair(a, b)
+        assert out == Outcome(NO, DegreeObstruction(n, m))
+    else:
+        k0, l0 = grid
+        bounds = SearchBounds(tmax=max(t for t in range(1, 5) if n ** (k0 * t) <= MAX_N))
+        want = Outcome(UNKNOWN, BoundExhausted(bounds))
+        for t in range(1, bounds.tmax + 1):
+            if twisted_relations_oracle(a, b, k0 * t, l0 * t):
+                want = Outcome(YES, TwistedPair(k0 * t, l0 * t))
+                break
+        out = twisted_pair(a, b, bounds)
+        assert out == want
+    assert verify_certificate(out.certificate, a, b)
 
 
 def check_certificate(a, b, k=1, l=1) -> bool:
