@@ -6,9 +6,10 @@ non-special generator, left amenability of the generated semigroup is
 equivalent to the generators being pairwise power joined (some iterates
 coincide: A^k = B^l as k-fold compositions), and right amenability is
 equivalent to the pairwise power-twisted relations A^(2k) = A^k o B^l and
-B^(2l) = B^l o A^k, i.e. B^l = nu o A^k with A^k o nu = A^k for an affine
-nu, so no composition of degree n^(2k) is needed.  Both conditions are
-certified by exhibiting (k, l) and refuted exactly through two obstructions:
+B^(2l) = B^l o A^k.  On the grid (k, l) = (k0 t, l0 t) one walk of affine
+maps mu_t with A^k = mu_t o B^l decides both from maps of degree n^k0; it
+is periodic for a non-special B.  Both conditions are certified by
+exhibiting (k, l) and refuted exactly through two obstructions:
 
 - degrees: A^k = B^l forces n^k = m^l, so n and m must be powers of a
   common base (multiplicative dependence);
@@ -354,11 +355,39 @@ def _lc_obstruction(A: Poly, B: Poly, k0: int, l0: int) -> LeadingCoeffObstructi
     return None
 
 
+def _affine_walk(P: Poly, Q: Poly):
+    """Yield (mu_t, gamma(mu_t)) for t = 1, 2, ... with P^t == mu_t o Q^t and
+    Q o mu_t == gamma(mu_t) o Q, for P, Q of one degree N >= 1.  Right
+    factors of one degree agree up to a left affine map, so each map is read
+    off two coefficients and confirmed by one composition of degree N:
+    P == nu o Q gives mu_1 = nu and mu_(t+1) = nu o gamma(mu_t).  P^t == Q^t
+    iff mu_t == id (step[0]); the twisted relations hold iff Q^t o mu_t ==
+    Q^t iff gamma(mu_t) == id (step[1]), as such an affine map is id or a
+    reflection and right cancellation leaves Q o mu_t == Q.  The walk stops
+    after a mu without gamma (no later mu exists, by right cancellation) and
+    before a repeated mu (it is periodic from there); for non-special Q all
+    mu_t lie in the finite nu o gamma(G(Q)), so it always stops."""
+
+    def left_affine(R: Poly) -> Poly | None:
+        a = R.lc / Q.lc
+        lam = Poly((R[0] - a * Q[0], a))
+        return lam if compose(lam, Q) == R else None
+
+    nu = mu = left_affine(P)
+    seen = set()
+    while mu is not None and mu not in seen:
+        seen.add(mu)
+        gamma = Z if mu == Z else left_affine(compose(Q, mu))
+        yield mu, gamma
+        mu = None if gamma is None else compose(nu, gamma)
+
+
 def _grid_search(relation: type[CommonIterate] | type[TwistedPair], A: Poly, B: Poly,
                  bounds: SearchBounds, what: str) -> Outcome:
-    """Walk the degree grid (k, l) = (k0 t, l0 t), t = 1..bounds.tmax, for
-    the first point where the relation holds.  Independent degrees refute
-    both relations; the leading coefficients refute only a common iterate."""
+    """The first t <= bounds.tmax at which the relation holds on the degree
+    grid (k, l) = (k0 t, l0 t), by the affine walk over A^k0 and B^l0.
+    Independent degrees refute both relations; the leading coefficients
+    refute only a common iterate."""
     if A.degree < 2 or B.degree < 2:
         raise DegreeTooLow(f"{what} needs degrees >= 2")
     grid = _iterate_grid(A, B)
@@ -367,10 +396,9 @@ def _grid_search(relation: type[CommonIterate] | type[TwistedPair], A: Poly, B: 
     k0, l0 = grid
     if relation is CommonIterate and (obstruction := _lc_obstruction(A, B, k0, l0)) is not None:
         return Outcome(NO, obstruction)
-    for t in range(1, bounds.tmax + 1):
-        cert = relation(k=k0 * t, l=l0 * t)
-        if _relation_holds(cert, A, B):
-            return Outcome(YES, cert)
+    for t, step in zip(range(1, bounds.tmax + 1), _affine_walk(iterate(A, k0), iterate(B, l0))):
+        if step[relation is TwistedPair] == Z:
+            return Outcome(YES, relation(k=k0 * t, l=l0 * t))
     return Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
@@ -378,50 +406,56 @@ def common_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> O
     """Search for A^k == B^l; refute exactly via degrees or leading
     coefficients when possible.
 
-    Any solution must sit on the grid (k, l) = (k0 t, l0 t), t >= 1, so the
-    search walks t up to bounds.tmax, prefiltering by evaluation at sample
-    points and confirming candidates by exact composition.
+    Any solution sits on the grid (k, l) = (k0 t, l0 t), t >= 1, where
+    A^k == B^l iff mu_t == id in the affine walk over A^k0 and B^l0, so the
+    search takes t up to bounds.tmax and builds nothing above degree n^k0.
     """
     return _grid_search(CommonIterate, A, B, bounds, "common iterate search")
 
 
-def _twisted_companion(P: Poly, Q: Poly) -> bool:
-    """P o P == P o Q and Q o Q == Q o P, for nonconstant P, Q of one degree N.
-
-    Right factors of one degree agree up to a left affine map, so both hold
-    iff Q == nu o P with P o nu == P (conjugate by nu for the second); for
-    nu(w) = a w + b that forces a^N == 1, so a = +-1, and b = 0 when a = 1.
-    """
-    a = Q.lc / P.lc
-    nu = Poly((Q[0] - a * P[0], a))
-    return Q == compose(nu, P) and (nu == Z or compose(P, nu) == P)
+def _shares_no_iterate(A: Poly, B: Poly) -> bool:
+    """Whether B is non-special and the walk shows A^k != B^l for all k, l;
+    then A commutes with no iterate of B (Ritt 1923, NOTE_COMMUTE_UPGRADE)."""
+    if min(A.degree, B.degree) < 2 or not isinstance(is_special(B), NotSpecial):
+        return False
+    grid = _iterate_grid(A, B)
+    return grid is None or all(mu != Z for mu, _ in _affine_walk(iterate(A, grid[0]), iterate(B, grid[1])))
 
 
 def _relation_holds(cert: CommonIterate | TwistedPair | CommutesWithIterate, A: Poly, B: Poly) -> bool:
-    """Whether A and B satisfy the relation the certificate asserts: the
-    degree test n^k == m^l first, then exact values at the sample points
-    (refuting at the first that separates the two sides), then the exact
-    check by composition or, for a twisted pair, the affine companion."""
+    """Whether A and B satisfy the relation the certificate asserts.  A
+    common iterate or twisted pair must lie on the degree grid
+    (k l0 == l k0); the affine walk over A^k0 and B^l0 runs to t = k/k0 or
+    its exit or first repeat, and t is reduced into the cycle.  A degree-1
+    pair is a one-step walk at (k0, l0) = (k, l); constants are iterated.
+    Commuting with B^l is refuted when _shares_no_iterate, else at the
+    first sample point that separates the sides, else by composition."""
     if isinstance(cert, CommutesWithIterate):
         l = cert.l
+        if _shares_no_iterate(A, B):
+            return False
         if any(_apply_iter(B, l, A(x)) != A(_apply_iter(B, l, x)) for x in _SAMPLE_POINTS):
             return False
         bl = iterate(B, l)
         return compose(A, bl) == compose(bl, A)
-    k, l = cert.k, cert.l
-    if isinstance(cert, TwistedPair) and (A.degree < 1 or B.degree < 1):
-        raise DegreeTooLow("twisted relations need nonconstant maps")
-    if A.degree**k != B.degree**l:
+    k, l, n, m = cert.k, cert.l, A.degree, B.degree
+    if min(n, m) < 1:
+        if isinstance(cert, TwistedPair):
+            raise DegreeTooLow("twisted relations need nonconstant maps")
+        return n**k == m**l and iterate(A, k) == iterate(B, l)
+    if k < 1 or l < 1:
+        raise BadParams("iteration counts must be >= 1")
+    grid = (k, l) if n == m == 1 else None if min(n, m) == 1 else _iterate_grid(A, B)
+    if grid is None or k * grid[1] != l * grid[0]:
         return False
-    if isinstance(cert, CommonIterate):
-        if any(_apply_iter(A, k, x) != _apply_iter(B, l, x) for x in _SAMPLE_POINTS):
+    t = k // grid[0]
+    steps = list(itertools.islice(_affine_walk(iterate(A, grid[0]), iterate(B, grid[1])), t))
+    if len(steps) < t:
+        if not steps or steps[-1][1] is None:
             return False
-        return iterate(A, k) == iterate(B, l)
-    ps = [_apply_iter(A, k, x) for x in _SAMPLE_POINTS]
-    qs = [_apply_iter(B, l, x) for x in _SAMPLE_POINTS]
-    if not any(all(q - qs[0] == s * (p - ps[0]) for p, q in zip(ps, qs)) for s in (1, -1)):
-        return False
-    return _twisted_companion(iterate(A, k), iterate(B, l))
+        start = [mu for mu, _ in steps].index(compose(steps[0][0], steps[-1][1]))
+        t = start + 1 + (t - 1 - start) % (len(steps) - start)
+    return steps[t - 1][isinstance(cert, TwistedPair)] == Z
 
 
 def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Outcome:
@@ -430,17 +464,22 @@ def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Out
 
     The degree constraint is the same n^k == m^l as for a common iterate,
     so the only exact refutation is multiplicative independence of the
-    degrees; there is no leading-coefficient refutation here.  A depth-k
-    prefilter (B^l - B^l(x0) == +-(A^k - A^k(x0)) at the sample points, one
-    sign) comes before the exact check on the affine companion.
+    degrees; there is no leading-coefficient refutation here.  They hold
+    at (k0 t, l0 t) iff gamma(mu_t) == id in the affine walk over A^k0 and
+    B^l0, so nothing above degree n^k0 is built.
     """
     return _grid_search(TwistedPair, A, B, bounds, "twisted relation search")
 
 
 def commutes_with_iterate(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> int | None:
-    """Smallest l <= bounds.lmax with A o B^l == B^l o A, else None."""
+    """Smallest l <= bounds.lmax with A o B^l == B^l o A, else None.
+
+    None comes at once when _shares_no_iterate; otherwise each l is checked
+    at the sample points and then by exact composition."""
     if A.degree < 2 or B.degree < 2:
         raise DegreeTooLow("commutation search needs degrees >= 2")
+    if _shares_no_iterate(A, B):
+        return None
     for l in range(1, bounds.lmax + 1):
         if _relation_holds(CommutesWithIterate(l), A, B):
             return l
@@ -563,8 +602,9 @@ def classify(gens: list[Poly], bounds: SearchBounds = SearchBounds()) -> Verdict
 def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
     """Re-check a certificate by direct exact computation.
 
-    A relation certificate goes through the check its search uses: refuted
-    at the first failing sample point or decided by exact composition.
+    A relation certificate goes through the check its search uses
+    (_relation_holds), so a common iterate or twisted pair costs at most one
+    affine walk at any (k, l).
     An obstruction is derived again from A and B by the code the searches
     refute with and compared field by field; a degree below 2 raises
     BadParams.

@@ -14,7 +14,7 @@ import sympy
 from sympy import Rational, Symbol, cyclotomic_poly, resultant, totient
 
 from ritt_lab.decompose import NO_RATIONAL_WITNESS, Decomposition
-from ritt_lab.polynomials import AffineMap, Poly, compose, rational_nth_root
+from ritt_lab.polynomials import AffineMap, Poly, compose, iterate, rational_nth_root
 from ritt_lab.semigroup import folner_window, semidirect_mul
 
 _z = Symbol("z")
@@ -164,6 +164,18 @@ def twisted_relations_oracle(a: Poly, b: Poly, k: int, l: int) -> bool:
     for _ in range(l - 1):
         bl = B.compose(bl)
     return ak.compose(ak) == ak.compose(bl) and bl.compose(bl) == bl.compose(ak)
+
+
+def twisted_companion_oracle(a: Poly, b: Poly, k: int, l: int) -> bool:
+    """The twisted relations at (k, l) on the iterates themselves, as the
+    library checked them before the affine walk: B^l == nu o A^k with
+    A^k o nu == A^k, nu read off two coefficients (right factors of one
+    degree agree up to a left affine map).  Reaches degrees the sympy
+    oracle cannot."""
+    P, Q = iterate(a, k), iterate(b, l)
+    c = Q.lc / P.lc
+    nu = Poly((Q[0] - c * P[0], c))
+    return Q == compose(nu, P) and compose(P, nu) == P
 
 
 def folner_ratio_oracle(ctx, x, n: int) -> Fraction:

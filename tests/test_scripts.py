@@ -53,3 +53,28 @@ def test_cli_decomposes_degree_256_composite():
     assert done.returncode == 0, done.stderr
     found = json.loads(done.stdout)["result"]["decompositions"]
     assert [parse_poly(d["right"]).degree for d in found] == [1, 16, 256]
+
+
+def test_cli_classify_with_huge_tmax_returns():
+    # the affine walk leaves at t = 1, so tmax costs nothing past it
+    done = _cli("classify", "z^2 + 1", "z^2 + 2", "--tmax", "1000000")
+    assert done.returncode == 0, done.stderr
+    verdict = json.loads(done.stdout)["result"]["verdict"]
+    assert verdict["left_amenable"]["status"] == verdict["right_amenable"]["status"] == "Unknown"
+
+
+def test_bench_script_writes_file_and_deltas(tmp_path):
+    base = {"workloads": {"cli": {"trace0": {"metrics": {"queries_per_s": {"value": 1.0, "unit": "1/s"}}}}}}
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(base))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--tag", "2", "--seconds", "0.2",
+                           "--workloads", "cli", "--dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads((tmp_path / "BENCH_2.json").read_text())
+    assert report["git_revision"] and report["python"]
+    for trace, metric in (("trace0", "queries_per_s"), ("trace1", "polynomials.compose.calls")):
+        run = report["workloads"]["cli"][trace]
+        assert run["correct"] and metric in run["metrics"] and run["context"]["seed"] == 3
+    lines = done.stdout.splitlines()
+    assert "deltas against BENCH_1.json" in lines
+    assert [line.split()[:3] for line in lines if "queries_per_s" in line] == [["cli", "trace0", "queries_per_s"]]

@@ -2,10 +2,10 @@
 same grid that decides each step by exact composition alone; every
 certificate a search returns must verify."""
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ritt_lab.forms import chebyshev
+from ritt_lab.forms import NotSpecial, chebyshev, is_special
 from ritt_lab.polynomials import Poly, Z, compose, iterate
 from ritt_lab.semigroup import (
     NO,
@@ -13,6 +13,7 @@ from ritt_lab.semigroup import (
     YES,
     BoundExhausted,
     CommonIterate,
+    CommutesWithIterate,
     DegreeObstruction,
     LeadingCoeffObstruction,
     Outcome,
@@ -85,3 +86,34 @@ def test_commutes_with_iterate_matches_exact_walk(pair):
     a, b = pair
     lmax = max(l for l in range(1, 5) if b.degree**l <= MAX_N)
     assert commutes_with_iterate(a, b, SearchBounds(lmax=lmax)) == first_commuting_iterate(a, b, lmax)
+
+
+ODD_ABOUT_1 = compose(Z**3 + Z, Z - 1) + 1
+
+
+@st.composite
+def nonspecial_commuting_pairs(draw):
+    """A non-special B with a partner that commutes with some iterate of B
+    (B^j, -B for odd B, sigma o B with sigma in Aut(B)) or narrowly misses
+    (a shift of B, a random map)."""
+    c = draw(small)
+    odd = Poly([0, draw(small), 0, draw(small.filter(bool))])
+    b = draw(st.sampled_from([draw(polys(2, 3)), odd, compose(odd, Z - c) + c]))
+    assume(isinstance(is_special(b), NotSpecial))
+    kin = [b, iterate(b, 2), -b, compose(2 * c - Z, b), b + draw(small.filter(bool)), draw(polys(2, 3))]
+    return draw(st.sampled_from(kin)), b
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonspecial_commuting_pairs())
+@example((-(Z**3 + Z), Z**3 + Z))  # -B for odd B: commutes with B
+@example((compose(2 - Z, ODD_ABOUT_1), ODD_ABOUT_1))  # sigma o B, sigma(z) = 2 - z in Aut(B)
+@example((ODD_ABOUT_1 + 1, ODD_ABOUT_1))  # shares no iterate: refuted before any sample point
+def test_commutes_with_iterate_against_nonspecial_pivot(pair):
+    a, b = pair
+    lmax = max(l for l in range(1, 4) if a.degree * b.degree**l <= 27)
+    want = first_commuting_iterate(a, b, lmax)
+    assert commutes_with_iterate(a, b, SearchBounds(lmax=lmax)) == want
+    for l in range(1, lmax + 1):
+        bl = iterate(b, l)
+        assert verify_certificate(CommutesWithIterate(l), a, b) == (compose(a, bl) == compose(bl, a))

@@ -215,6 +215,19 @@ def test_verify_rejects_tampered_certificates():
         assert not verify_certificate(dataclasses.replace(lc, **{field: value}), 2 * Z**2, Z**2)
     assert not verify_certificate(DegreeObstruction(2, 4), Z**2, Z**4)
     assert not verify_certificate(CommutesWithIterate(1), Z**2 + 1, Z**2 + 2)
+
+    def timed(cert, a, b):
+        start = time.perf_counter()
+        held = verify_certificate(cert, a, b)
+        assert time.perf_counter() - start < 1, cert
+        return held
+
+    for cert in (CommonIterate(10**6, 10**6), TwistedPair(10**6, 10**6), CommutesWithIterate(10**6)):
+        assert not timed(cert, Z**2 + 1, Z**2 + 2)  # the walk leaves at t = 1
+    p = Z**3 + Z
+    for relation in (CommonIterate, TwistedPair):  # the walk has period 2
+        assert timed(relation(2 * 10**6, 2 * 10**6), p, -p)
+        assert not timed(relation(2 * 10**6 + 1, 2 * 10**6 + 1), p, -p)
     good = common_iterate(-P4, P4, B).certificate
     assert not verify_certificate(good, -Z**3, Z**3)  # wrong pair
     assert verify_certificate(DegreeObstruction(2, 3), Z**2 + 1, Z**3 + 1)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import twisted_relations_oracle
+from oracles import twisted_companion_oracle, twisted_relations_oracle
 from ritt_lab import semigroup
 from ritt_lab.errors import DegreeTooLow
 from ritt_lab.polynomials import Poly, Z, compose, iterate
@@ -16,10 +16,12 @@ from ritt_lab.semigroup import (
     UNKNOWN,
     YES,
     BoundExhausted,
+    CommonIterate,
     DegreeObstruction,
     Outcome,
     SearchBounds,
     TwistedPair,
+    common_iterate,
     twisted_pair,
     verify_certificate,
 )
@@ -102,21 +104,75 @@ def test_twisted_pair_of_two_iterates_of_one_map():
     assert verify_certificate(out.certificate, a, b)
 
 
-def test_prefilter_pass_rejected_by_exact_check(monkeypatch):
-    # at t = 1, -p == nu o p with nu(w) = -w passes the prefilter, but
-    # p o nu == -p != p; at t = 2 the iterates coincide
+def test_period_two_walk_builds_nothing_above_degree_three(monkeypatch):
+    # -p == nu o p with nu(w) = -w, and p o nu == -p != p, so the walk goes
+    # mu_1 = -w, mu_2 = id and repeats: both relations first hold at t = 2
     p = Z**3 + Z
-    real = semigroup._twisted_companion
-    calls = []
+    degrees = []
+    for name in ("compose", "iterate"):
+        def spy(*args, real=getattr(semigroup, name)):
+            out = real(*args)
+            degrees.append(out.degree)
+            return out
 
-    def spy(P, Q):
-        calls.append((P.degree, real(P, Q)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(semigroup, "_twisted_companion", spy)
+        monkeypatch.setattr(semigroup, name, spy)
     assert twisted_pair(p, -p) == Outcome(YES, TwistedPair(2, 2))
-    assert calls == [(3, False), (9, True)]
+    assert verify_certificate(TwistedPair(2, 2), p, -p)
+    assert degrees and max(degrees) == 3
     assert not twisted_relations_oracle(p, -p, 1, 1)
+
+
+WALK_MAX_N = 81  # largest iterate degree of the exact grid walk below
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """Two maps from the relatives of p = u((z - c)^d), whose walk moves
+    inside a nontrivial G(p): negations (-p + 2c is twisted with p for
+    d = 2), shifts, the reflection about c and an iterate."""
+    d = draw(st.sampled_from([2, 3]))
+    c, s = draw(small), draw(small)
+    p = compose(draw(polys(1, 2 if d == 2 else 1)), (Z - c) ** d)
+    kin = [p, -p, -p + 2 * c, -p + s, p + s, compose(p, 2 * c - Z), compose(-p, 2 * c - Z) + s, iterate(p, 2)]
+    return draw(st.sampled_from(kin)), draw(st.sampled_from(kin))
+
+
+def exact_grid_walk(a, b, relation, grid, tmax):
+    """The first t <= tmax at which the relation holds on the grid, by its
+    definition (iterate equality, or the twisted oracles); verify_certificate
+    must agree at every t."""
+    for t in range(1, tmax + 1):
+        k, l = grid[0] * t, grid[1] * t
+        if relation is CommonIterate:
+            held = iterate(a, k) == iterate(b, l)
+        elif a.degree**k <= MAX_N:
+            held = twisted_relations_oracle(a, b, k, l)
+        else:
+            held = twisted_companion_oracle(a, b, k, l)
+        assert verify_certificate(relation(k, l), a, b) == held
+        if held:
+            return relation(k, l)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_pairs())
+@example((Z**3 + Z, -(Z**3 + Z)))  # period 2: mu = -w, id, -w, ...
+@example((Z**3 - 2 * Z, -(Z**3 - 2 * Z) + 1))  # mu_1 has no gamma: the walk leaves at t = 1
+def test_walk_matches_exact_grid_walk(pair):
+    a, b = pair
+    n, m = a.degree, b.degree
+    grid = next((k, l) for k in range(1, 5) for l in range(1, 5) if n**k == m**l)
+    bounds = SearchBounds(tmax=max(t for t in range(1, 6) if n ** (grid[0] * t) <= WALK_MAX_N))
+    for search, relation in ((common_iterate, CommonIterate), (twisted_pair, TwistedPair)):
+        hit = exact_grid_walk(a, b, relation, grid, bounds.tmax)
+        out = search(a, b, bounds)
+        if hit is not None:
+            assert out == Outcome(YES, hit)
+        elif out.status == NO:
+            assert relation is CommonIterate and verify_certificate(out.certificate, a, b)
+        else:
+            assert out == Outcome(UNKNOWN, BoundExhausted(bounds))
 
 
 def test_certificate_check_rejects_constants():
