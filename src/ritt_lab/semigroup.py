@@ -7,8 +7,8 @@ equivalent to the generators being pairwise power joined (some iterates
 coincide: A^k = B^l as k-fold compositions), and right amenability is
 equivalent to the pairwise power-twisted relations A^(2k) = A^k o B^l and
 B^(2l) = B^l o A^k.  On the grid (k, l) = (k0 t, l0 t) one walk of affine
-maps mu_t with A^k = mu_t o B^l decides both from maps of degree n^k0; it
-is periodic for a non-special B.  Both conditions are certified by
+maps mu_t with A^k = mu_t o B^l decides both from maps of degree n^k0 in
+a few steps, as it soon leaves or repeats.  Both conditions are certified by
 exhibiting (k, l) and refuted exactly through two obstructions:
 
 - degrees: A^k = B^l forces n^k = m^l, so n and m must be powers of a
@@ -363,17 +363,18 @@ def _affine_walk(P: Poly, Q: Poly):
     P == nu o Q gives mu_1 = nu and mu_(t+1) = nu o gamma(mu_t).  P^t == Q^t
     iff mu_t == id (step[0]); the twisted relations hold iff Q^t o mu_t ==
     Q^t iff gamma(mu_t) == id (step[1]), as such an affine map is id or a
-    reflection and right cancellation leaves Q o mu_t == Q.  The walk stops
-    after a mu without gamma (no later mu exists, by right cancellation) and
-    before a repeated mu (it is periodic from there); for non-special Q all
-    mu_t lie in the finite nu o gamma(G(Q)), so it always stops."""
+    reflection and right cancellation leaves Q o mu_t == Q.  Both need
+    |lc P| == |lc Q|, else nothing is yielded.  The walk stops after a mu
+    without gamma (no later mu exists, by right cancellation) and before a
+    repeated mu (periodic from there), so always: each mu_t with a gamma is
+    in G(Q), finite or, for Q conjugate to z^N, the two maps with lc +-1."""
 
     def left_affine(R: Poly) -> Poly | None:
         a = R.lc / Q.lc
         lam = Poly((R[0] - a * Q[0], a))
         return lam if compose(lam, Q) == R else None
 
-    nu = mu = left_affine(P)
+    nu = mu = left_affine(P) if abs(P.lc) == abs(Q.lc) else None
     seen = set()
     while mu is not None and mu not in seen:
         seen.add(mu)
@@ -387,7 +388,7 @@ def _grid_search(relation: type[CommonIterate] | type[TwistedPair], A: Poly, B: 
     """The first t <= bounds.tmax at which the relation holds on the degree
     grid (k, l) = (k0 t, l0 t), by the affine walk over A^k0 and B^l0.
     Independent degrees refute both relations; the leading coefficients
-    refute only a common iterate."""
+    refute a common iterate and leave no walk for a twisted pair."""
     if A.degree < 2 or B.degree < 2:
         raise DegreeTooLow(f"{what} needs degrees >= 2")
     grid = _iterate_grid(A, B)
@@ -428,12 +429,10 @@ def _relation_holds(cert: CommonIterate | TwistedPair | CommutesWithIterate, A: 
     (k l0 == l k0); the affine walk over A^k0 and B^l0 runs to t = k/k0 or
     its exit or first repeat, and t is reduced into the cycle.  A degree-1
     pair is a one-step walk at (k0, l0) = (k, l); constants are iterated.
-    Commuting with B^l is refuted when _shares_no_iterate, else at the
-    first sample point that separates the sides, else by composition."""
+    Commuting with B^l is refuted at the first sample point that separates
+    the sides, else decided by composition."""
     if isinstance(cert, CommutesWithIterate):
         l = cert.l
-        if _shares_no_iterate(A, B):
-            return False
         if any(_apply_iter(B, l, A(x)) != A(_apply_iter(B, l, x)) for x in _SAMPLE_POINTS):
             return False
         bl = iterate(B, l)
@@ -464,9 +463,9 @@ def twisted_pair(A: Poly, B: Poly, bounds: SearchBounds = SearchBounds()) -> Out
 
     The degree constraint is the same n^k == m^l as for a common iterate,
     so the only exact refutation is multiplicative independence of the
-    degrees; there is no leading-coefficient refutation here.  They hold
-    at (k0 t, l0 t) iff gamma(mu_t) == id in the affine walk over A^k0 and
-    B^l0, so nothing above degree n^k0 is built.
+    degrees; unequal |lc(A^k)|, |lc(B^l)| rule out every t but, with no
+    certificate for that, end the search Unknown.  They hold at (k0 t, l0 t)
+    iff gamma(mu_t) == id in the walk over A^k0 and B^l0 (degree n^k0).
     """
     return _grid_search(TwistedPair, A, B, bounds, "twisted relation search")
 
@@ -602,13 +601,14 @@ def classify(gens: list[Poly], bounds: SearchBounds = SearchBounds()) -> Verdict
 def verify_certificate(cert: Certificate, A: Poly, B: Poly) -> bool:
     """Re-check a certificate by direct exact computation.
 
-    A relation certificate goes through the check its search uses
-    (_relation_holds), so a common iterate or twisted pair costs at most one
-    affine walk at any (k, l).
-    An obstruction is derived again from A and B by the code the searches
-    refute with and compared field by field; a degree below 2 raises
-    BadParams.
+    A relation goes through the checks its search makes (_shares_no_iterate
+    and _relation_holds), so a common iterate or twisted pair costs at most
+    one affine walk at any (k, l).  An obstruction is derived again from A
+    and B by the code the searches refute with and compared field by field;
+    a degree below 2 raises BadParams.
     """
+    if isinstance(cert, CommutesWithIterate) and _shares_no_iterate(A, B):
+        return False
     if isinstance(cert, (CommonIterate, TwistedPair, CommutesWithIterate)):
         return _relation_holds(cert, A, B)
     if isinstance(cert, (DegreeObstruction, LeadingCoeffObstruction)):

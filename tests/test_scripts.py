@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -63,18 +64,27 @@ def test_cli_classify_with_huge_tmax_returns():
     assert verdict["left_amenable"]["status"] == verdict["right_amenable"]["status"] == "Unknown"
 
 
-def test_bench_script_writes_file_and_deltas(tmp_path):
-    base = {"workloads": {"cli": {"trace0": {"metrics": {"queries_per_s": {"value": 1.0, "unit": "1/s"}}}}}}
+def test_bench_script_writes_file_and_deltas(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    base = {"workloads": {"cli": {"trace0": {"metrics": {"queries_per_s": {"value": 1.0, "unit": "1/s"}}}},
+                          "verdicts": {"trace0": "timeout"}}}
     (tmp_path / "BENCH_1.json").write_text(json.dumps(base))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--tag", "2", "--seconds", "0.2",
-                           "--workloads", "cli", "--dir", str(tmp_path)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    assert bench.main(["--tag", "2", "--seconds", "0.2"]) == 0
     report = json.loads((tmp_path / "BENCH_2.json").read_text())
     assert report["git_revision"] and report["python"]
-    for trace, metric in (("trace0", "queries_per_s"), ("trace1", "polynomials.compose.calls")):
-        run = report["workloads"]["cli"][trace]
-        assert run["correct"] and metric in run["metrics"] and run["context"]["seed"] == 3
-    lines = done.stdout.splitlines()
+    for workload, seed in bench.SEEDS.items():
+        for trace, metric in (("trace0", "queries_per_s"), ("trace1", "polynomials.compose.calls")):
+            run = report["workloads"][workload][trace]
+            assert run["correct"] and metric in run["metrics"] and run["context"]["seed"] == seed
+    lines = capsys.readouterr().out.splitlines()
     assert "deltas against BENCH_1.json" in lines
     assert [line.split()[:3] for line in lines if "queries_per_s" in line] == [["cli", "trace0", "queries_per_s"]]
+    assert "verdicts        trace0  no deltas (baseline: timeout)" in lines
+    broken = tmp_path / "run.py"
+    broken.write_text("import sys; sys.exit('no result')")
+    monkeypatch.setattr(bench, "RUN_PY", broken)
+    failed = bench.run("cli", 0.2, 0)
+    assert failed["error"] == 1 and "no result" in failed["stderr"] and bench.failure(failed) == "exit status 1"

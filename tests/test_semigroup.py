@@ -228,6 +228,11 @@ def test_verify_rejects_tampered_certificates():
     for relation in (CommonIterate, TwistedPair):  # the walk has period 2
         assert timed(relation(2 * 10**6, 2 * 10**6), p, -p)
         assert not timed(relation(2 * 10**6 + 1, 2 * 10**6 + 1), p, -p)
+    # special pivots: unequal |lc| rules out every t, else the walk repeats
+    for relation in (CommonIterate, TwistedPair):
+        assert not timed(relation(10**6, 10**6), 2 * Z**2, Z**2)
+    assert not timed(CommonIterate(10**6, 10**6), -Z**2, Z**2)
+    assert timed(TwistedPair(10**6, 10**6), -Z**2, Z**2)
     good = common_iterate(-P4, P4, B).certificate
     assert not verify_certificate(good, -Z**3, Z**3)  # wrong pair
     assert verify_certificate(DegreeObstruction(2, 3), Z**2 + 1, Z**3 + 1)

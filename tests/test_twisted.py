@@ -104,6 +104,14 @@ def test_twisted_pair_of_two_iterates_of_one_map():
     assert verify_certificate(out.certificate, a, b)
 
 
+def test_unequal_leading_moduli_end_the_search_without_a_walk():
+    # on (2z^2, z^2) mu_t = 2^(2^t - 1) w would never repeat, and |lc| differs at every t
+    assert list(semigroup._affine_walk(2 * Z**2, Z**2)) == []
+    bounds = SearchBounds(tmax=10**6)
+    assert twisted_pair(2 * Z**2, Z**2, bounds) == Outcome(UNKNOWN, BoundExhausted(bounds))
+    assert not twisted_relations_oracle(2 * Z**2, Z**2, 1, 1)
+
+
 def test_period_two_walk_builds_nothing_above_degree_three(monkeypatch):
     # -p == nu o p with nu(w) = -w, and p o nu == -p != p, so the walk goes
     # mu_1 = -w, mu_2 = id and repeats: both relations first hold at t = 2
